@@ -30,12 +30,27 @@ fails the run and leaves the baseline file untouched, so ./ci.sh bench
 gates cross-PR hot-path regressions. Benchmarks missing from the baseline
 (newly added) pass; a missing or unreadable baseline file is skipped with a
 note (first snapshot of a fresh checkout). Comparisons only run when the
-baseline was recorded with identical build type and flags — numbers from a
-different compiler configuration are noise, not a regression.
+baseline was recorded with identical build type and flags *and* on the same
+host (CPU model from /proc/cpuinfo plus the usable CPU count, both recorded
+in the summary context) — numbers from a different compiler configuration
+or machine are noise, not a regression. A mismatch prints both sides,
+skips the gate and re-baselines.
 """
 import json
 import os
 import sys
+
+
+def host_fingerprint() -> dict:
+    """CPU model name and usable CPU count (what `nproc` prints)."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            models = [line.split(":", 1)[1].strip() for line in f
+                      if line.startswith("model name")]
+    except OSError:
+        models = []
+    return {"cpu_model": models[0] if models else "",
+            "nproc": len(os.sched_getaffinity(0))}
 
 
 def main() -> int:
@@ -93,8 +108,10 @@ def main() -> int:
     # Context comes from the first input; every input ran in the same bench
     # tree (ci.sh run_bench), so the machine facts agree.
     first_ctx = raws[0].get("context", {})
+    host = host_fingerprint()
     summary = {
         "context": {
+            **host,
             "date": first_ctx.get("date", ""),
             "num_cpus": first_ctx.get("num_cpus", 0),
             "build_type": build_type,
@@ -137,15 +154,18 @@ def main() -> int:
             with open(baseline_path) as f:
                 baseline = json.load(f)
             base_ctx = baseline.get("context", {})
-            comparable = (
-                base_ctx.get("build_type", "") == build_type
-                and base_ctx.get("cxx_flags", "") == cxx_flags
-            )
-            if not comparable:
+            base_host = {k: base_ctx.get(k) for k in host}
+            if (base_ctx.get("build_type", "") != build_type
+                    or base_ctx.get("cxx_flags", "") != cxx_flags):
                 print(
                     f"bench_summary: baseline {baseline_path} was recorded "
                     f"with different compiler settings; skipping the "
                     f"regression gate and re-baselining")
+            elif base_host != host:
+                print(
+                    f"bench_summary: baseline {baseline_path} was recorded "
+                    f"on host {base_host}, this run is on {host}; skipping "
+                    f"the regression gate and re-baselining")
             else:
                 regressions = []
                 for name, entry in summary["benchmarks"].items():

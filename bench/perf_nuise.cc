@@ -58,28 +58,21 @@ void BM_EngineStepKhepera(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineStepKhepera);
 
-// The parallel fan-out on the §VI complete mode set (2³ − 1 = 7 NUISE
-// instances per step): Arg is EngineConfig::num_threads. Outputs are
-// bit-identical across Args (tests/engine_parallel_test.cc); only the
-// wall-clock should move — the PR target is ≥ 2× at 4 threads vs 1 on a
-// multi-core host.
+// One engine iteration on the §VI complete mode set (2³ − 1 = 7 NUISE
+// instances per step), the widest bank a step runs.
 void BM_EngineStepCompleteModeSet(benchmark::State& state) {
   KheperaFixture f;
-  core::EngineConfig engine_cfg;
-  engine_cfg.num_threads = static_cast<std::size_t>(state.range(0));
   core::MultiModeEngine engine(
       f.platform.model(), f.platform.suite(),
       core::complete_mode_set(f.platform.suite()), f.platform.process_cov(),
-      f.x, Matrix::identity(3) * 1e-4, engine_cfg);
+      f.x, Matrix::identity(3) * 1e-4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.step(f.u, f.z));
   }
   state.counters["modes"] =
       static_cast<double>(engine.modes().size());
-  state.counters["threads"] = static_cast<double>(engine.thread_count());
 }
-BENCHMARK(BM_EngineStepCompleteModeSet)
-    ->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_EngineStepCompleteModeSet);
 
 // Batched (scenario, seed) mission throughput: eight independent 60-
 // iteration Khepera missions per batch, Arg = WorkflowConfig::num_threads.

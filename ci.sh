@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: build + ctest once normally, then once under
-# ThreadSanitizer (RoboADS_SANITIZE=thread) so data races in the parallel
-# engine fan-out, the batched scenario runner, and the striped metrics
-# registry fail the pipeline, and once under UndefinedBehaviorSanitizer
+# ThreadSanitizer (RoboADS_SANITIZE=thread) so data races in the batched
+# scenario runner, the fleet pump, and the striped metrics registry fail
+# the pipeline, and once under UndefinedBehaviorSanitizer
 # (RoboADS_SANITIZE=undefined) to catch UB in the numerics. The normal pass
 # also runs the instrumented mission smoke (examples/obs_smoke): one
 # full-tracing scenario-8 run whose JSONL must parse, whose trace must show
@@ -88,8 +88,8 @@ run_obs_overhead() {
 }
 
 # Quick perf snapshot of the detector hot path: one NUISE step, one engine
-# iteration (default mode set, plus the complete mode set at 1 and 4
-# threads), and the full detector step on both platforms. Reduced to
+# iteration (default mode set, plus the seven-mode complete set), and the
+# full detector step on both platforms. Reduced to
 # BENCH_PERF.json at the repo root (docs/PERFORMANCE.md tracks the history).
 # ~0.2 s per benchmark keeps this fast enough to run on every normal pass.
 #
@@ -106,7 +106,7 @@ run_bench() {
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$dir/CMakeCache.txt")"
   cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS_RELEASE:[^=]*=//p' "$dir/CMakeCache.txt")"
   "$dir/bench/perf_nuise" \
-    --benchmark_filter='BM_NuiseStepKhepera|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet/(1|4)/real_time|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya' \
+    --benchmark_filter='BM_NuiseStepKhepera|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya' \
     --benchmark_min_time=0.2 \
     --benchmark_format=json > "$dir/bench_perf_raw.json"
   # Fleet capacity + latency (docs/FLEET.md): ≥1000 sessions at 10 Hz on

@@ -2,11 +2,8 @@
 // Table II attack scenario, live RoboADS detection, and an ASCII rendering
 // of the arena with the driven trajectory.
 //
-//   ./build/examples/khepera_mission [scenario 1..11] [threads]
+//   ./build/examples/khepera_mission [scenario 1..11]
 //     scenario: default 4, IPS spoofing
-//     threads:  EngineConfig::num_threads for the detector's per-mode
-//               NUISE fan-out — 1 (default) serial, 0 all cores, n = n-way.
-//               Detection output is bit-identical for every setting.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -65,11 +62,9 @@ int main(int argc, char** argv) {
   const std::size_t scenario_number =
       argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 4;
   if (scenario_number < 1 || scenario_number > 11) {
-    std::fprintf(stderr, "usage: %s [scenario 1..11] [threads]\n", argv[0]);
+    std::fprintf(stderr, "usage: %s [scenario 1..11]\n", argv[0]);
     return 1;
   }
-  const std::size_t engine_threads =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 1;
 
   KheperaPlatform platform;
   const attacks::Scenario scenario =
@@ -80,13 +75,6 @@ int main(int argc, char** argv) {
   MissionConfig cfg;
   cfg.iterations = 250;
   cfg.seed = 2024;
-  if (engine_threads != 1) {
-    core::RoboAdsConfig detector = platform.detector_config();
-    detector.engine.num_threads = engine_threads;
-    cfg.detector_override = detector;
-    std::printf("detector engine fan-out: num_threads=%zu "
-                "(outputs identical to serial)\n\n", engine_threads);
-  }
   const MissionResult result = run_mission(platform, scenario, cfg);
   const ScenarioScore score = score_mission(result, platform);
 

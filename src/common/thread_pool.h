@@ -1,10 +1,10 @@
 // Fixed-size worker pool for deterministic fork/join parallelism.
 //
 // The pool exposes exactly one primitive — parallel_for — because every
-// concurrent structure in this library reduces to it: the multi-mode engine
-// fans one NUISE step per mode (core/engine.cc), and the batched scenario
+// concurrent structure in this library reduces to it: the batched scenario
 // runner fans one mission per (scenario, seed) task (sim/workflow.h,
-// eval/batch.h). Both write results into pre-allocated, index-addressed
+// eval/batch.h), and the fleet pump drains one shard per index
+// (fleet/service.cc). Both write results into pre-allocated, index-addressed
 // slots and reduce serially after the join, so outputs are bit-identical
 // for any worker count (docs/CONCURRENCY.md).
 //

@@ -33,8 +33,8 @@ namespace roboads::core {
 // Hot-path stage timers for one NUISE iteration (obs/timer.h). The engine
 // resolves one shared set from its metrics registry and hands every
 // estimator a pointer; all members null (or a null struct pointer) disables
-// timing entirely. Histograms are lock-free, so the per-mode fan-out can
-// record concurrently.
+// timing entirely. Histograms are lock-free, so batch workers sharing one
+// registry record concurrently.
 struct NuiseStageTimers {
   obs::Histogram* input_estimation = nullptr;  // Step 1: d̂ᵃ estimation
   obs::Histogram* predict = nullptr;           // Step 2: compensated predict

@@ -1,5 +1,6 @@
 #include "obs/jsonl.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -335,6 +336,21 @@ TailTolerantRead read_jsonl_tail_tolerant(
     std::filesystem::resize_file(path, good_end);
   }
   return result;
+}
+
+void publish_line(const std::string& path, const std::string& line,
+                  const std::string& noun) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream os(tmp, std::ios::trunc | std::ios::binary);
+    ROBOADS_CHECK(static_cast<bool>(os), "cannot write " + noun + " " + tmp);
+    os << line << '\n';
+    os.flush();
+    ROBOADS_CHECK(static_cast<bool>(os),
+                  "write failed for " + noun + " " + tmp);
+  }
+  ROBOADS_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
+                "cannot publish " + noun + " " + path);
 }
 
 }  // namespace roboads::obs::json

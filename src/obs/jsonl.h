@@ -77,6 +77,13 @@ void write_doubles(std::ostream& os, const std::vector<double>& v);
 void write_ints(std::ostream& os, const std::vector<std::int64_t>& v);
 void write_strings(std::ostream& os, const std::vector<std::string>& v);
 
+// Atomically replaces `path` with `line` plus a newline: writes `path.tmp`,
+// flushes and checks the stream, then renames over `path`, so a reader never
+// sees a half-written file. Failures throw CheckError naming `noun` (e.g.
+// "status", "heartbeat") and the file.
+void publish_line(const std::string& path, const std::string& line,
+                  const std::string& noun);
+
 // --- Torn-tail-tolerant reading of append-only JSONL stream files (shard
 // checkpoints, worker telemetry). A process killed mid-append leaves at most
 // one damaged line, and by construction it is the last one.

@@ -1,6 +1,10 @@
 // Multi-mode engine + mode selector behavior (Algorithm 1, lines 4-9).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "core/engine.h"
 #include "dynamics/diff_drive.h"
 #include "random/rng.h"
@@ -194,6 +198,153 @@ TEST(Engine, RejectsBadConfig) {
                                one_reference_per_sensor(rig.suite), rig.q,
                                Vector(3), Matrix::identity(3), cfg),
                CheckError);
+}
+
+// Bit-level equality: memcmp on the raw doubles, so even a -0.0 vs +0.0 or
+// NaN-payload difference — invisible to operator== — fails the comparison.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bits(const Vector& a, const Vector& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (!same_bits(a(i, j), b(i, j))) return false;
+    }
+  }
+  return true;
+}
+
+struct StepInput {
+  Vector u;
+  Vector z;
+};
+
+// A 200-step attacked mission recorded once: IPS bias from k=60, an
+// additional wheel-odometry bias from k=140 — the mode selection changes
+// mid-run, so the trace exercises selector switches, not just steady state.
+std::vector<StepInput> attacked_mission(EngineRig& rig,
+                                        std::size_t steps = 200) {
+  rig.rng = Rng(4242);
+  Vector x_true{0.5, 0.5, 0.2};
+  std::vector<StepInput> trace;
+  trace.reserve(steps);
+  for (std::size_t k = 1; k <= steps; ++k) {
+    const Vector u{0.05, 0.055};
+    Vector d_sens(10);
+    if (k >= 60) d_sens[3] = 0.2;    // IPS x spoof
+    if (k >= 140) d_sens[0] = 0.15;  // wheel-odometry x bomb
+    trace.push_back({u, rig.simulate_step(x_true, u, d_sens)});
+  }
+  return trace;
+}
+
+// Runs the full trace through a fresh engine and returns every step's
+// result. `mask_mode` selects how each step is issued: 0 = the plain
+// 2-argument step, 1 = masked step with an empty mask, 2 = masked step with
+// an all-true mask — all three are contractually the same code path and
+// must be bit-identical.
+std::vector<EngineResult> run_trace(EngineRig& rig,
+                                    const std::vector<Mode>& modes,
+                                    const std::vector<StepInput>& trace,
+                                    int mask_mode = 0,
+                                    bool health_enabled = true) {
+  EngineConfig cfg;
+  cfg.health.enabled = health_enabled;
+  MultiModeEngine engine(rig.model, rig.suite, modes, rig.q,
+                         Vector{0.5, 0.5, 0.2}, Matrix::identity(3) * 1e-4,
+                         cfg);
+  std::vector<EngineResult> results;
+  results.reserve(trace.size());
+  for (const StepInput& in : trace) {
+    switch (mask_mode) {
+      case 1:
+        results.push_back(engine.step(in.u, in.z, SensorMask{}));
+        break;
+      case 2:
+        results.push_back(
+            engine.step(in.u, in.z, SensorMask(rig.suite.count(), true)));
+        break;
+      default:
+        results.push_back(engine.step(in.u, in.z));
+    }
+  }
+  return results;
+}
+
+void expect_identical(const std::vector<EngineResult>& a,
+                      const std::vector<EngineResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    SCOPED_TRACE("step " + std::to_string(k + 1));
+    EXPECT_EQ(a[k].selected_mode, b[k].selected_mode);
+    EXPECT_TRUE(same_bits(Vector(a[k].mode_weights),
+                          Vector(b[k].mode_weights)));
+    ASSERT_EQ(a[k].per_mode.size(), b[k].per_mode.size());
+    for (std::size_t m = 0; m < a[k].per_mode.size(); ++m) {
+      SCOPED_TRACE("mode " + std::to_string(m));
+      const NuiseResult& ra = a[k].per_mode[m];
+      const NuiseResult& rb = b[k].per_mode[m];
+      EXPECT_TRUE(same_bits(ra.state, rb.state));
+      EXPECT_TRUE(same_bits(ra.state_cov, rb.state_cov));
+      EXPECT_TRUE(same_bits(ra.actuator_anomaly, rb.actuator_anomaly));
+      EXPECT_TRUE(same_bits(ra.sensor_anomaly, rb.sensor_anomaly));
+      EXPECT_TRUE(same_bits(ra.innovation, rb.innovation));
+      EXPECT_TRUE(same_bits(ra.log_likelihood, rb.log_likelihood));
+    }
+  }
+}
+
+// The fault-tolerant runtime's no-fault contract: with every sensor
+// available (however that is spelled) and health supervision enabled —
+// the default — outputs are bit-identical to the plain unsupervised run.
+// Supervision is pure reads on healthy results; the masked entry points
+// route trivial masks to the exact legacy path. Checked on the default
+// bank and on the §VI complete mode set (2³ − 1 = 7 modes).
+TEST(Engine, MaskedAllAvailableAndSupervisionAreBitIdentical) {
+  EngineRig rig;
+  const std::vector<StepInput> trace = attacked_mission(rig);
+  for (const std::vector<Mode>& modes :
+       {one_reference_per_sensor(rig.suite), complete_mode_set(rig.suite)}) {
+    SCOPED_TRACE("modes = " + std::to_string(modes.size()));
+    const std::vector<EngineResult> plain_unsupervised =
+        run_trace(rig, modes, trace, /*mask_mode=*/0,
+                  /*health_enabled=*/false);
+    for (int mask_mode : {0, 1, 2}) {
+      SCOPED_TRACE("mask_mode = " + std::to_string(mask_mode));
+      const std::vector<EngineResult> supervised =
+          run_trace(rig, modes, trace, mask_mode, /*health_enabled=*/true);
+      expect_identical(plain_unsupervised, supervised);
+      // And the supervised run reports every mode healthy throughout.
+      for (const EngineResult& r : supervised) {
+        EXPECT_EQ(r.quarantined_modes, 0u);
+        for (ModeHealthState s : r.mode_health) {
+          EXPECT_EQ(s, ModeHealthState::kHealthy);
+        }
+      }
+    }
+  }
+}
+
+// The selector must end the attacked trace distrusting both corrupted
+// sensors — guards against a harness that would pass trivially on a trace
+// the engine never reacts to.
+TEST(Engine, TraceActuallyExercisesModeSwitches) {
+  EngineRig rig;
+  const std::vector<Mode> modes = one_reference_per_sensor(rig.suite);
+  const std::vector<StepInput> trace = attacked_mission(rig);
+  const std::vector<EngineResult> results = run_trace(rig, modes, trace);
+  EXPECT_EQ(results.front().selected_mode, results[40].selected_mode);
+  EXPECT_EQ(results.back().selected_mode, 2u);  // ref:lidar — only clean one
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/engine.h"
 #include "core/nuise.h"
 #include "dynamics/diff_drive.h"
 #include "sensors/standard_sensors.h"
@@ -121,6 +122,42 @@ TEST(NuiseAllocation, EveryModeOfTheBankIsAllocationFree) {
     }
     EXPECT_EQ(guard.count(), 0u) << "mode " << mode.label;
   }
+}
+
+// A steady-state, healthy MultiModeEngine::step on the default Khepera bank
+// (one reference per sensor, three modes). The estimators themselves stay
+// off the heap (above); the step's only allocations are the three vectors of
+// the EngineResult it returns:
+//   1. per_mode    — one NuiseResult slot per mode,
+//   2. mode_weights — the copy of the normalized weights,
+//   3. mode_health  — the per-mode health snapshot.
+// Anything more — e.g. a type-erased callable built around the per-mode
+// loop — fails here.
+TEST(NuiseAllocation, EngineStepAllocatesOnlyItsResult) {
+  Rig rig;
+  const Vector x{0.3, 0.4, 0.1};
+  MultiModeEngine engine(rig.model, rig.suite,
+                         one_reference_per_sensor(rig.suite), rig.q, x,
+                         Matrix::identity(3) * 1e-4);
+  const Vector u{0.0, 0.0};
+  const Vector z = rig.suite.measure(rig.suite.all(), x);
+  engine.step(u, z);
+
+  constexpr std::size_t kSteps = 50;
+  std::size_t allocs = 0;
+  {
+    AllocationGuard guard;
+    for (std::size_t i = 0; i < kSteps; ++i) engine.step(u, z);
+    allocs = guard.count();
+  }
+  const EngineResult last = engine.step(u, z);
+  ASSERT_EQ(last.quarantined_modes, 0u);
+  for (ModeHealthState s : last.mode_health) {
+    ASSERT_EQ(s, ModeHealthState::kHealthy);
+  }
+  constexpr std::size_t kAllocsPerStep = 3;
+  EXPECT_EQ(allocs, kSteps * kAllocsPerStep)
+      << "steady-state MultiModeEngine::step made " << allocs << " allocations";
 }
 
 }  // namespace

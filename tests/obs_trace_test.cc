@@ -1,7 +1,6 @@
 // Trace-sink tests (src/obs/trace.h): the golden JSONL schema pin for an
-// instrumented Khepera scenario-8 mission, serial-vs-parallel trace
-// determinism, the documented "iteration" field layout, and the CSV
-// flattening rules.
+// instrumented Khepera scenario-8 mission, the documented "iteration" field
+// layout, and the CSV flattening rules.
 //
 // The golden comparison pins the *schema* — line count, event ordering, key
 // order, value kinds, vector lengths — not the numeric payloads, which are
@@ -44,13 +43,10 @@ eval::MissionConfig golden_mission_config(Instruments instruments) {
   return cfg;
 }
 
-std::string run_golden_mission_jsonl(std::size_t num_threads) {
+std::string run_golden_mission_jsonl() {
   eval::KheperaPlatform platform;
   Observability obs(ObsConfig{/*metrics=*/true, /*trace=*/true, "", "", ""});
   eval::MissionConfig cfg = golden_mission_config(obs.instruments());
-  core::RoboAdsConfig detector = platform.detector_config();
-  detector.engine.num_threads = num_threads;
-  cfg.detector_override = detector;
   eval::run_mission(platform, platform.table2_scenario(8), cfg);
   std::ostringstream os;
   obs.trace().write_jsonl(os);
@@ -81,8 +77,8 @@ std::string read_json_string(const std::string& s, std::size_t& i) {
 // Reduces one JSONL line to its schema shape: the ordered key list with each
 // value replaced by its kind tag. The "event" and "label" values are kept
 // literally (event sequencing and mission attribution are part of the
-// schema); vectors keep their length (the per-mode fan-out width is fixed by
-// the detector configuration); "null" counts as a number slot, since the
+// schema); vectors keep their length (the per-mode width is fixed by the
+// detector's mode set); "null" counts as a number slot, since the
 // writer emits null exactly where a numeric field is non-finite.
 std::string line_shape(const std::string& line) {
   if (line.empty() || line.front() != '{' || line.back() != '}') {
@@ -132,7 +128,7 @@ std::string line_shape(const std::string& line) {
 }
 
 TEST(GoldenObsTrace, KheperaScenario8SchemaMatchesGolden) {
-  const std::string current = run_golden_mission_jsonl(/*num_threads=*/1);
+  const std::string current = run_golden_mission_jsonl();
   const std::string path = ROBOADS_GOLDEN_DIR "/golden_obs_trace.jsonl";
 
   // Structural validation first: every line must parse as flat JSON.
@@ -162,15 +158,6 @@ TEST(GoldenObsTrace, KheperaScenario8SchemaMatchesGolden) {
     EXPECT_EQ(line_shape(golden[i]), line_shape(got[i]))
         << "event schema changed at JSONL line " << (i + 1);
   }
-}
-
-TEST(ObsTrace, SerialAndParallelEnginesEmitIdenticalJsonl) {
-  // Trace events are emitted only from the serial sections of the engine
-  // and mission loop, so the JSONL must be byte-identical at any pool size
-  // (the determinism contract in docs/CONCURRENCY.md, extended to obs).
-  const std::string serial = run_golden_mission_jsonl(/*num_threads=*/1);
-  const std::string parallel = run_golden_mission_jsonl(/*num_threads=*/2);
-  EXPECT_EQ(serial, parallel);
 }
 
 TEST(ObsTrace, IterationEventsCarryTheDocumentedFields) {
