@@ -2,9 +2,12 @@
 # CI entry point: build + ctest once normally, then once under
 # ThreadSanitizer (RoboADS_SANITIZE=thread) so data races in the batched
 # scenario runner, the fleet pump, and the striped metrics registry fail
-# the pipeline, and once under UndefinedBehaviorSanitizer
-# (RoboADS_SANITIZE=undefined) to catch UB in the numerics. The normal pass
-# also runs the instrumented mission smoke (examples/obs_smoke): one
+# the pipeline, once under UndefinedBehaviorSanitizer
+# (RoboADS_SANITIZE=undefined) to catch UB in the numerics, and once under
+# AddressSanitizer (RoboADS_SANITIZE=address): the matrix kernels check
+# shapes once at entry and then index raw storage, so ASan is the net for
+# an out-of-bounds element access on inline and heap storage alike. The
+# normal pass also runs the instrumented mission smoke (examples/obs_smoke): one
 # full-tracing scenario-8 run whose JSONL must parse, whose trace must show
 # a health transition, and whose roboads_report must render
 # (docs/OBSERVABILITY.md), plus the forensics smoke: a recorder-on attack
@@ -17,6 +20,7 @@
 #   ./ci.sh normal     # plain build + ctest + obs smoke + quick perf only
 #   ./ci.sh tsan       # TSan build + ctest only
 #   ./ci.sh ubsan      # UBSan build + ctest only
+#   ./ci.sh asan       # ASan build + ctest only
 #   ./ci.sh bench      # quick perf snapshot only (writes BENCH_PERF.json,
 #                      # gated >15% vs the previous snapshot)
 #   ./ci.sh fuzz-smoke # ~30 s scenario-DSL coverage fuzz + corpus replay
@@ -350,6 +354,7 @@ case "$MODE" in
     ;;
   tsan)   run_pass build-tsan -DRoboADS_SANITIZE=thread ;;
   ubsan)  run_pass build-ubsan -DRoboADS_SANITIZE=undefined ;;
+  asan)   run_pass build-asan -DRoboADS_SANITIZE=address ;;
   bench)  run_bench ;;
   fuzz-smoke) run_fuzz_smoke build ;;
   shard-smoke) run_shard_smoke build ;;
@@ -369,8 +374,9 @@ case "$MODE" in
     run_fleet_watch_smoke build
     run_pass build-tsan -DRoboADS_SANITIZE=thread
     run_pass build-ubsan -DRoboADS_SANITIZE=undefined
+    run_pass build-asan -DRoboADS_SANITIZE=address
     ;;
-  *) echo "usage: $0 [normal|tsan|ubsan|bench|fuzz-smoke|shard-smoke|watch-smoke|fleet-smoke|fleet-watch-smoke|all]" >&2; exit 2 ;;
+  *) echo "usage: $0 [normal|tsan|ubsan|asan|bench|fuzz-smoke|shard-smoke|watch-smoke|fleet-smoke|fleet-watch-smoke|all]" >&2; exit 2 ;;
 esac
 
 echo "ci.sh: all requested passes green"

@@ -151,13 +151,15 @@ EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
   // pre-allocated slot. Quarantined modes are stepped too: estimators are
   // stateless (the shared estimate is threaded in each iteration), so a
   // clean result here is exactly the evidence the supervisor needs to
-  // reinstate the mode.
+  // reinstate the mode. The mode-independent prefix (Jacobians, f(x̂, u),
+  // A Pˣ Aᵀ + Q) is computed once: every estimator shares the model and Q.
+  const NuisePrediction pred =
+      estimators_.front().predict(state_, state_cov_, u_prev);
+  const SensorMask all_available;
   for (std::size_t m = 0; m < m_count; ++m) {
-    out.per_mode[m] =
-        available != nullptr
-            ? estimators_[m].step(state_, state_cov_, u_prev, z_full,
-                                  *available)
-            : estimators_[m].step(state_, state_cov_, u_prev, z_full);
+    out.per_mode[m] = estimators_[m].step(
+        pred, state_, state_cov_, u_prev, z_full,
+        available != nullptr ? *available : all_available);
   }
 
   // --- Health supervision, once every mode has stepped. ---

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "matrix/decomp.h"
 
@@ -50,9 +51,34 @@ void ModeHealth::on_fatal(const HealthConfig& /*cfg*/) {
   clean_streak = 0;
 }
 
+namespace {
+
+// True when psd_tol is large enough for a successful Cholesky factorization
+// to certify "no repair". A factorization that runs to completion is exact
+// for some A + ΔA with ‖ΔA‖₂ ≤ (n+1)·n·ε·‖A‖₂ (Higham, Accuracy and
+// Stability of Numerical Algorithms, Thm 10.3), so λ_min(A) is at least
+// −(n+1)·n·ε·‖A‖₂; the eigenvalues the eigen path tests are within the
+// Jacobi stopping tolerance of exact. The certificate is used only when
+// psd_tol clears the sum of both by 100×.
+bool cholesky_certifies(std::size_t n, double psd_tol) {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  constexpr double kJacobiTol = 1e-13;  // eigen_symmetric's default tol
+  const double dn = static_cast<double>(n);
+  return psd_tol >= 100.0 * ((dn + 1.0) * dn * kEps + kJacobiTol);
+}
+
+}  // namespace
+
 bool repair_covariance(Matrix& cov, const HealthConfig& cfg) {
   if (cov.empty()) return false;
-  const SymmetricEigen eig = eigen_symmetric(cov.symmetrized());
+  const Matrix sym = cov.symmetrized();
+  // Certificate: a positive-definite Cholesky factor bounds λ_min far above
+  // −psd_tol·max(1, λ_max), so the eigen path below would conclude "no
+  // repair" too. Healthy steps skip the eigendecomposition entirely.
+  if (cholesky_certifies(sym.rows(), cfg.psd_tol) && Cholesky(sym).ok()) {
+    return false;
+  }
+  const SymmetricEigen eig = eigen_symmetric(sym);
   const std::size_t n = eig.eigenvalues.size();
   const double lambda_max = std::max(eig.eigenvalues[0], 0.0);
   const double scale = std::max(1.0, lambda_max);

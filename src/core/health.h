@@ -85,7 +85,11 @@ struct SupervisionOutcome {
 // Symmetrizes `cov` and clamps eigenvalues below the configured floor.
 // Returns true when a repair was applied, false when the matrix was already
 // acceptably PSD (in which case it is left bit-for-bit untouched). A
-// non-finite matrix is not repairable; callers must check all_finite first.
+// successful Cholesky factorization of the symmetrized matrix certifies the
+// "no repair" answer without the eigendecomposition, whenever psd_tol sits
+// far enough above rounding level for that to be exact (the default does).
+// A non-finite matrix is not repairable; callers must check all_finite
+// first.
 bool repair_covariance(Matrix& cov, const HealthConfig& cfg);
 
 // Checks (and, where possible, repairs in place) one mode's NUISE result.

@@ -60,52 +60,69 @@ Nuise::Nuise(const dyn::DynamicModel& model,
 
 NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
                         const Vector& u_prev, const Vector& z_full) const {
-  return step_subsets(mode_.reference, mode_.testing, x_prev, p_prev, u_prev,
-                      z_full, /*cached=*/true);
+  return step(predict(x_prev, p_prev, u_prev), x_prev, p_prev, u_prev,
+              z_full, SensorMask{});
 }
 
 NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
                         const Vector& u_prev, const Vector& z_full,
                         const SensorMask& available) const {
-  if (available.empty()) return step(x_prev, p_prev, u_prev, z_full);
-  ROBOADS_CHECK_EQ(available.size(), suite_.count(),
-                   "availability mask size mismatch");
-
-  auto filter = [&](const std::vector<std::size_t>& set) {
-    std::vector<std::size_t> kept;
-    kept.reserve(set.size());
-    for (std::size_t i : set) {
-      if (available[i]) kept.push_back(i);
-    }
-    return kept;
-  };
-  const std::vector<std::size_t> ref = filter(mode_.reference);
-  const std::vector<std::size_t> tst = filter(mode_.testing);
-
-  if (ref.size() == mode_.reference.size() &&
-      tst.size() == mode_.testing.size()) {
-    // Every sensor of this mode arrived: the exact full step.
-    return step(x_prev, p_prev, u_prev, z_full);
-  }
-  if (ref.empty()) {
-    return predict_only(tst, x_prev, p_prev, u_prev, z_full);
-  }
-  NuiseResult out =
-      step_subsets(ref, tst, x_prev, p_prev, u_prev, z_full, /*cached=*/false);
-  out.degraded = true;
-  out.active_testing = tst;
-  return out;
+  return step(predict(x_prev, p_prev, u_prev), x_prev, p_prev, u_prev,
+              z_full, available);
 }
 
-NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
-                                const Vector& x_prev, const Matrix& p_prev,
-                                const Vector& u_prev,
+NuisePrediction Nuise::predict(const Vector& x_prev, const Matrix& p_prev,
+                               const Vector& u_prev) const {
+  const std::size_t n = model_.state_dim();
+  ROBOADS_CHECK_EQ(x_prev.size(), n, "previous state size mismatch");
+  ROBOADS_CHECK(p_prev.rows() == n && p_prev.cols() == n,
+                "previous covariance shape mismatch");
+  ROBOADS_CHECK_EQ(u_prev.size(), model_.input_dim(), "control size mismatch");
+  NuisePrediction pred;
+  pred.a = model_.jacobian_state(x_prev, u_prev);
+  pred.g = model_.jacobian_input(x_prev, u_prev);
+  pred.x_bare = model_.step(x_prev, u_prev);
+  pred.p_tilde = sandwich(pred.a, p_prev);
+  pred.p_tilde += process_cov_;
+  return pred;
+}
+
+NuiseResult Nuise::step(const NuisePrediction& pred, const Vector& x_prev,
+                        const Matrix& p_prev, const Vector& u_prev,
+                        const Vector& z_full,
+                        const SensorMask& available) const {
+  if (!available.empty()) {
+    ROBOADS_CHECK_EQ(available.size(), suite_.count(),
+                     "availability mask size mismatch");
+    auto filter = [&](const std::vector<std::size_t>& set) {
+      std::vector<std::size_t> kept;
+      kept.reserve(set.size());
+      for (std::size_t i : set) {
+        if (available[i]) kept.push_back(i);
+      }
+      return kept;
+    };
+    const std::vector<std::size_t> ref = filter(mode_.reference);
+    const std::vector<std::size_t> tst = filter(mode_.testing);
+    if (ref.empty()) return predict_only(pred, tst, z_full);
+    if (ref.size() != mode_.reference.size() ||
+        tst.size() != mode_.testing.size()) {
+      NuiseResult out = step_subsets(pred, ref, tst, x_prev, p_prev, u_prev,
+                                     z_full, /*cached=*/false);
+      out.degraded = true;
+      out.active_testing = tst;
+      return out;
+    }
+  }
+  // Every sensor of this mode arrived: the exact full step.
+  return step_subsets(pred, mode_.reference, mode_.testing, x_prev, p_prev,
+                      u_prev, z_full, /*cached=*/true);
+}
+
+NuiseResult Nuise::predict_only(const NuisePrediction& pred,
+                                const std::vector<std::size_t>& tst,
                                 const Vector& z_full) const {
   const std::size_t q = model_.input_dim();
-  ROBOADS_CHECK_EQ(x_prev.size(), model_.state_dim(),
-                   "previous state size mismatch");
-  ROBOADS_CHECK_EQ(u_prev.size(), q, "control size mismatch");
-
   NuiseResult out;
   out.correction_applied = false;
   out.likelihood_informative = false;
@@ -117,10 +134,8 @@ NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
   // Propagate through the kinematics with the planned (uncompensated)
   // input: with no reference readings there is no innovation to estimate
   // d̂ᵃ from, so the best available state is the open-loop prediction.
-  const Matrix a = model_.jacobian_state(x_prev, u_prev);
-  out.state = model_.step(x_prev, u_prev);
-  out.state_cov = sandwich(a, p_prev);
-  out.state_cov += process_cov_;
+  out.state = pred.x_bare;
+  out.state_cov = pred.p_tilde;
 
   // No information about the actuator this iteration: a zero estimate with
   // identity covariance makes the decision maker's χ² statistic exactly 0.
@@ -144,22 +159,17 @@ NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
   return out;
 }
 
-NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
+NuiseResult Nuise::step_subsets(const NuisePrediction& pred,
+                                const std::vector<std::size_t>& ref,
                                 const std::vector<std::size_t>& tst,
                                 const Vector& x_prev, const Matrix& p_prev,
                                 const Vector& u_prev, const Vector& z_full,
                                 bool cached) const {
-  const std::size_t n = model_.state_dim();
   const std::size_t q = model_.input_dim();
-  ROBOADS_CHECK_EQ(x_prev.size(), n, "previous state size mismatch");
-  ROBOADS_CHECK(p_prev.rows() == n && p_prev.cols() == n,
-                "previous covariance shape mismatch");
-  ROBOADS_CHECK_EQ(u_prev.size(), q, "control size mismatch");
-
   obs::SplitTimer split(timers_ != nullptr && timers_->any());
 
-  const Matrix a = model_.jacobian_state(x_prev, u_prev);
-  const Matrix g = model_.jacobian_input(x_prev, u_prev);
+  const Matrix& a = pred.a;
+  const Matrix& g = pred.g;
   const Matrix& qc = process_cov_;
 
   // Subset-dependent structure: served from the workspace on the healthy
@@ -176,13 +186,11 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
 
   // --- Step 1: actuator anomaly estimation (lines 2-6). ---
   // Linearize h₂ at the uncompensated prediction f(x̂, u).
-  const Vector x_bare = model_.step(x_prev, u_prev);
+  const Vector& x_bare = pred.x_bare;
   const Matrix c2 = suite_.jacobian(ref, x_bare);
   const Vector z2 = suite_.slice(ref, z_full);
 
-  Matrix p_tilde = sandwich(a, p_prev);
-  p_tilde += qc;
-  Matrix r_star = sandwich(c2, p_tilde);
+  Matrix r_star = sandwich(c2, pred.p_tilde);
   r_star += r2;
 
   const Matrix f = c2 * g;  // how the input shows in the reference readings

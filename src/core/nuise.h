@@ -89,6 +89,18 @@ struct NuiseResult {
   std::vector<std::size_t> active_testing;
 };
 
+// The mode-independent prefix of one NUISE iteration: the linearization at
+// (x̂_{k−1|k−1}, u_{k−1}) and the uncompensated prediction. Algorithm 1 starts
+// every mode from the same shared estimate, so one prediction serves the
+// whole bank — the engine computes it once per step instead of once per
+// mode.
+struct NuisePrediction {
+  Matrix a;        // A = ∂f/∂x at (x̂_{k−1|k−1}, u_{k−1})
+  Matrix g;        // G = ∂f/∂u at (x̂_{k−1|k−1}, u_{k−1})
+  Vector x_bare;   // f(x̂_{k−1|k−1}, u_{k−1})
+  Matrix p_tilde;  // P̃ = A Pˣ_{k−1} Aᵀ + Q
+};
+
 // The testing sensors actually represented in `r.sensor_anomaly` — the
 // mode's full testing set on a healthy step, the filtered set on a degraded
 // one. Consumers splitting the stacked d̂ˢ must iterate this list.
@@ -125,6 +137,20 @@ class Nuise {
                    const Vector& u_prev, const Vector& z_full,
                    const SensorMask& available) const;
 
+  // The shared prefix of a step from (x_prev, p_prev, u_prev); see
+  // NuisePrediction. Both step() overloads above are predict() followed by
+  // the step() below.
+  NuisePrediction predict(const Vector& x_prev, const Matrix& p_prev,
+                          const Vector& u_prev) const;
+
+  // The step body on a prediction made by predict() with the same
+  // (x_prev, p_prev, u_prev) on an estimator sharing this one's model and
+  // process covariance — every estimator of one engine bank qualifies.
+  // Bit-identical to the self-contained overloads.
+  NuiseResult step(const NuisePrediction& pred, const Vector& x_prev,
+                   const Matrix& p_prev, const Vector& u_prev,
+                   const Vector& z_full, const SensorMask& available) const;
+
   // Attaches per-stage latency histograms (nullptr detaches; the pointee
   // must outlive the estimator). Observation only — outputs are untouched.
   void set_stage_timers(const NuiseStageTimers* timers) { timers_ = timers; }
@@ -152,16 +178,18 @@ class Nuise {
   // ref/tst are exactly the mode's own subsets, allowing the subset-
   // dependent workspace entries (R₁/R₂/angle masks) to be served from the
   // cache; degraded filtered subsets rebuild them.
-  NuiseResult step_subsets(const std::vector<std::size_t>& ref,
+  NuiseResult step_subsets(const NuisePrediction& pred,
+                           const std::vector<std::size_t>& ref,
                            const std::vector<std::size_t>& tst,
                            const Vector& x_prev, const Matrix& p_prev,
                            const Vector& u_prev, const Vector& z_full,
                            bool cached) const;
 
-  // Prediction-only fallback when the reference group is unavailable.
-  NuiseResult predict_only(const std::vector<std::size_t>& tst,
-                           const Vector& x_prev, const Matrix& p_prev,
-                           const Vector& u_prev, const Vector& z_full) const;
+  // Prediction-only fallback when the reference group is unavailable: the
+  // open-loop prediction f(x̂, u) with covariance P̃, straight from `pred`.
+  NuiseResult predict_only(const NuisePrediction& pred,
+                           const std::vector<std::size_t>& tst,
+                           const Vector& z_full) const;
 
   const dyn::DynamicModel& model_;
   const sensors::SensorSuite& suite_;

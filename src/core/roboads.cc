@@ -256,11 +256,11 @@ void RoboAds::fill_flight_record(obs::FlightRecord& rec,
   rec.truth_actuator = false;
 }
 
-// The per-iteration trace record (docs/OBSERVABILITY.md). Emitted from the
-// serial detector path after the engine join, so event order is
-// deterministic at any engine thread count. Field layout must be identical
-// across iterations of one run — the CSV writer derives its columns from the
-// first event (obs/trace.cc).
+// The per-iteration trace record (docs/OBSERVABILITY.md). Emitted once per
+// detector step, after the engine has stepped every mode, so event order
+// follows step order. Field layout must be identical across iterations of
+// one run — the CSV writer derives its columns from the first event
+// (obs/trace.cc).
 void RoboAds::emit_iteration_event(const DetectionReport& report,
                                    const EngineResult& engine_result) {
   const std::size_t m_count = engine_.modes().size();

@@ -181,9 +181,9 @@ ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
   const sensors::SensorSuite& suite = platform->suite();
 
   // Same detector construction as eval/mission.cc, with the knobs the
-  // provenance says were in effect. Replay is always serial (bit-identical
-  // to any thread count by the engine's determinism contract) and attaches
-  // only its own recorder.
+  // provenance says were in effect. The detector step is deterministic, so
+  // replaying the recorded inputs reproduces the live run bit for bit; the
+  // replay attaches only its own recorder.
   std::unique_ptr<core::FrozenLinearModel> frozen_model;
   std::unique_ptr<sensors::SensorSuite> frozen_suite;
   if (prov.linear_baseline) {

@@ -104,51 +104,67 @@ Matrix Lu::inverse() const { return solve(Matrix::identity(lu_.rows())); }
 
 // -------------------------------------------------------------- Cholesky --
 
+namespace {
+
+// Solves (L L^T) x = b in place for the n x n lower factor `l`, where the
+// rhs/solution elements sit `stride` doubles apart in `x` (1 for a vector, a
+// column of a row-major matrix otherwise).
+void cholesky_solve_strided(const double* l, std::size_t n, double* x,
+                            std::size_t stride) {
+  // Forward substitution L y = b, overwriting b with y.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* l_i = l + i * n;
+    double acc = x[i * stride];
+    for (std::size_t j = 0; j < i; ++j) acc -= l_i[j] * x[j * stride];
+    x[i * stride] = acc / l_i[i];
+  }
+  // Backward substitution L^T x = y, overwriting y with x.
+  for (std::size_t ii = n; ii-- > 0;) {
+    double acc = x[ii * stride];
+    for (std::size_t j = ii + 1; j < n; ++j)
+      acc -= l[j * n + ii] * x[j * stride];
+    x[ii * stride] = acc / l[ii * n + ii];
+  }
+}
+
+}  // namespace
+
 Cholesky::Cholesky(const Matrix& a) : l_(a.rows(), a.cols()) {
   ROBOADS_CHECK(a.square(), "Cholesky requires a square matrix");
   const std::size_t n = a.rows();
+  const double* pa = a.data();
+  double* pl = l_.data();
   ok_ = true;
   for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
+    double* l_j = pl + j * n;
+    double diag = pa[j * n + j];
+    for (std::size_t k = 0; k < j; ++k) diag -= l_j[k] * l_j[k];
     if (diag <= 0.0 || !std::isfinite(diag)) {
       ok_ = false;
       return;
     }
-    l_(j, j) = std::sqrt(diag);
+    l_j[j] = std::sqrt(diag);
     for (std::size_t i = j + 1; i < n; ++i) {
-      double acc = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) acc -= l_(i, k) * l_(j, k);
-      l_(i, j) = acc / l_(j, j);
+      double* l_i = pl + i * n;
+      double acc = pa[i * n + j];
+      for (std::size_t k = 0; k < j; ++k) acc -= l_i[k] * l_j[k];
+      l_i[j] = acc / l_j[j];
     }
   }
 }
 
 Vector Cholesky::solve(const Vector& b) const {
-  ROBOADS_CHECK(ok_, "Cholesky solve on non-SPD matrix");
-  ROBOADS_CHECK_EQ(b.size(), l_.rows(), "Cholesky solve rhs size mismatch");
-  const std::size_t n = l_.rows();
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l_(i, j) * y[j];
-    y[i] = acc / l_(i, i);
-  }
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= l_(j, ii) * x[j];
-    x[ii] = acc / l_(ii, ii);
-  }
+  Vector x(b);
+  solve_in_place(x);
   return x;
 }
 
 Matrix Cholesky::solve(const Matrix& b) const {
+  ROBOADS_CHECK(ok_, "Cholesky solve on non-SPD matrix");
   ROBOADS_CHECK_EQ(b.rows(), l_.rows(), "Cholesky solve rhs shape mismatch");
-  Matrix x(b.rows(), b.cols());
+  Matrix x(b);
   for (std::size_t j = 0; j < b.cols(); ++j) {
-    const Vector xj = solve(b.col(j));
-    for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = xj[i];
+    cholesky_solve_strided(l_.data(), l_.rows(), x.data() + j, b.cols());
   }
   return x;
 }
@@ -156,19 +172,7 @@ Matrix Cholesky::solve(const Matrix& b) const {
 void Cholesky::solve_in_place(Vector& b) const {
   ROBOADS_CHECK(ok_, "Cholesky solve on non-SPD matrix");
   ROBOADS_CHECK_EQ(b.size(), l_.rows(), "Cholesky solve rhs size mismatch");
-  const std::size_t n = l_.rows();
-  // Forward substitution L y = b, overwriting b with y.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l_(i, j) * b[j];
-    b[i] = acc / l_(i, i);
-  }
-  // Backward substitution L^T x = y, overwriting y with x.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = b[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= l_(j, ii) * b[j];
-    b[ii] = acc / l_(ii, ii);
-  }
+  cholesky_solve_strided(l_.data(), l_.rows(), b.data(), 1);
 }
 
 Matrix Cholesky::inverse() const { return solve(Matrix::identity(l_.rows())); }
@@ -178,14 +182,17 @@ double quadratic_form_spd(const Cholesky& chol, const Vector& b) {
   const Matrix& l = chol.l();
   ROBOADS_CHECK_EQ(b.size(), l.rows(), "quadratic_form_spd size mismatch");
   const std::size_t n = l.rows();
+  const double* pl = l.data();
   // y = L^{-1} b by forward substitution; the form is then ||y||².
   Vector y(b);
+  double* py = y.data();
   double acc2 = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    double acc = y[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l(i, j) * y[j];
-    y[i] = acc / l(i, i);
-    acc2 += y[i] * y[i];
+    const double* l_i = pl + i * n;
+    double acc = py[i];
+    for (std::size_t j = 0; j < i; ++j) acc -= l_i[j] * py[j];
+    py[i] = acc / l_i[i];
+    acc2 += py[i] * py[i];
   }
   return acc2;
 }
@@ -202,43 +209,50 @@ double Cholesky::log_determinant() const {
 SymmetricEigen eigen_symmetric(const Matrix& a_in, double tol) {
   ROBOADS_CHECK(a_in.square(), "eigen_symmetric requires a square matrix");
   const std::size_t n = a_in.rows();
-  Matrix a = a_in.symmetrized();
-  Matrix v = Matrix::identity(n);
+  Matrix a_store = a_in.symmetrized();
+  Matrix v_store = Matrix::identity(n);
+  double* a = a_store.data();
+  double* v = v_store.data();
 
-  const double scale = std::max(1.0, a.norm_inf());
+  const double scale = std::max(1.0, a_store.norm_inf());
   for (int sweep = 0; sweep < 100; ++sweep) {
     double off = 0.0;
     for (std::size_t p = 0; p < n; ++p)
-      for (std::size_t q = p + 1; q < n; ++q) off += a(p, q) * a(p, q);
+      for (std::size_t q = p + 1; q < n; ++q)
+        off += a[p * n + q] * a[p * n + q];
     if (std::sqrt(off) <= tol * scale) break;
 
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
+        const double apq = a[p * n + q];
         if (std::abs(apq) <= tol * scale * 1e-3) continue;
-        const double theta = (a(q, q) - a(p, p)) / (2.0 * apq);
+        const double theta = (a[q * n + q] - a[p * n + p]) / (2.0 * apq);
         const double t = (theta >= 0 ? 1.0 : -1.0) /
                          (std::abs(theta) + std::sqrt(theta * theta + 1.0));
         const double c = 1.0 / std::sqrt(t * t + 1.0);
         const double s = t * c;
         // Apply the rotation A <- J^T A J on rows/cols p and q.
         for (std::size_t k = 0; k < n; ++k) {
-          const double akp = a(k, p);
-          const double akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
+          double* a_k = a + k * n;
+          const double akp = a_k[p];
+          const double akq = a_k[q];
+          a_k[p] = c * akp - s * akq;
+          a_k[q] = s * akp + c * akq;
+        }
+        double* a_p = a + p * n;
+        double* a_q = a + q * n;
+        for (std::size_t k = 0; k < n; ++k) {
+          const double apk = a_p[k];
+          const double aqk = a_q[k];
+          a_p[k] = c * apk - s * aqk;
+          a_q[k] = s * apk + c * aqk;
         }
         for (std::size_t k = 0; k < n; ++k) {
-          const double apk = a(p, k);
-          const double aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
+          double* v_k = v + k * n;
+          const double vkp = v_k[p];
+          const double vkq = v_k[q];
+          v_k[p] = c * vkp - s * vkq;
+          v_k[q] = s * vkp + c * vkq;
         }
       }
     }
@@ -248,16 +262,19 @@ SymmetricEigen eigen_symmetric(const Matrix& a_in, double tol) {
   OrderBuffer order_buf;
   std::size_t* order = order_buf.get(n);
   std::iota(order, order + n, std::size_t{0});
-  std::sort(order, order + n,
-            [&](std::size_t i, std::size_t j) { return a(i, i) > a(j, j); });
+  std::sort(order, order + n, [&](std::size_t i, std::size_t j) {
+    return a[i * n + i] > a[j * n + j];
+  });
 
   SymmetricEigen out;
   out.eigenvalues = Vector(n);
   out.eigenvectors = Matrix(n, n);
+  double* w = out.eigenvalues.data();
+  double* vecs = out.eigenvectors.data();
   for (std::size_t j = 0; j < n; ++j) {
-    out.eigenvalues[j] = a(order[j], order[j]);
-    for (std::size_t i = 0; i < n; ++i)
-      out.eigenvectors(i, j) = v(i, order[j]);
+    const std::size_t oj = order[j];
+    w[j] = a[oj * n + oj];
+    for (std::size_t i = 0; i < n; ++i) vecs[i * n + j] = v[i * n + oj];
   }
   return out;
 }
@@ -412,7 +429,7 @@ Matrix spd_pseudo_inverse(const Matrix& a, double rel_tol) {
 
 SpdEigenFactor::SpdEigenFactor(const Matrix& a, double rel_tol,
                                bool dim_scaled)
-    : eig_(eigen_symmetric(a.symmetrized())) {
+    : eig_(eigen_symmetric(a)) {  // eigen_symmetric symmetrizes its input
   ROBOADS_CHECK(a.square(), "SpdEigenFactor requires a square matrix");
   const std::size_t n = dim();
   const double lam_max = n ? std::max(eig_.eigenvalues[0], 0.0) : 0.0;
@@ -424,13 +441,28 @@ SpdEigenFactor::SpdEigenFactor(const Matrix& a, double rel_tol,
 }
 
 Matrix SpdEigenFactor::pseudo_inverse() const {
-  Matrix scaled = eig_.eigenvectors;  // columns scaled by 1/λ on the support
-  for (std::size_t j = 0; j < scaled.cols(); ++j) {
-    const double lam = eig_.eigenvalues[j];
-    const double inv = lam > cutoff_ ? 1.0 / lam : 0.0;
-    for (std::size_t i = 0; i < scaled.rows(); ++i) scaled(i, j) *= inv;
+  // V diag(1/λ on the support) Vᵀ: the columns of V scaled by 1/λ, times Vᵀ
+  // read straight out of V (out(i, j) accumulates scaled(i, k) * V(j, k)
+  // over k, the order of the plain product with a materialized transpose).
+  const std::size_t n = dim();
+  const double* lam = eig_.eigenvalues.data();
+  const double* v = eig_.eigenvectors.data();
+  Matrix scaled(n, n);
+  double* ps = scaled.data();
+  for (std::size_t j = 0; j < n; ++j) {
+    const double inv = lam[j] > cutoff_ ? 1.0 / lam[j] : 0.0;
+    for (std::size_t i = 0; i < n; ++i) ps[i * n + j] = v[i * n + j] * inv;
   }
-  Matrix out = scaled * eig_.eigenvectors.transpose();
+  Matrix out(n, n);
+  double* po = out.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    double* out_i = po + i * n;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double sik = ps[i * n + k];
+      if (sik == 0.0) continue;
+      for (std::size_t j = 0; j < n; ++j) out_i[j] += sik * v[j * n + k];
+    }
+  }
   out.symmetrize();
   return out;
 }
@@ -438,15 +470,18 @@ Matrix SpdEigenFactor::pseudo_inverse() const {
 Vector SpdEigenFactor::solve(const Vector& b) const {
   const std::size_t n = dim();
   ROBOADS_CHECK_EQ(b.size(), n, "SpdEigenFactor solve size mismatch");
+  const double* lam = eig_.eigenvalues.data();
+  const double* v = eig_.eigenvectors.data();
+  const double* pb = b.data();
   // A⁺ b = Σ_{λ_i > cutoff} v_i (v_i·b) / λ_i.
   Vector x(n);
+  double* px = x.data();
   for (std::size_t j = 0; j < n; ++j) {
-    const double lam = eig_.eigenvalues[j];
-    if (lam <= cutoff_) continue;
+    if (lam[j] <= cutoff_) continue;
     double proj = 0.0;
-    for (std::size_t i = 0; i < n; ++i) proj += eig_.eigenvectors(i, j) * b[i];
-    const double w = proj / lam;
-    for (std::size_t i = 0; i < n; ++i) x[i] += eig_.eigenvectors(i, j) * w;
+    for (std::size_t i = 0; i < n; ++i) proj += v[i * n + j] * pb[i];
+    const double w = proj / lam[j];
+    for (std::size_t i = 0; i < n; ++i) px[i] += v[i * n + j] * w;
   }
   return x;
 }
@@ -454,13 +489,15 @@ Vector SpdEigenFactor::solve(const Vector& b) const {
 double SpdEigenFactor::quadratic_form(const Vector& b) const {
   const std::size_t n = dim();
   ROBOADS_CHECK_EQ(b.size(), n, "SpdEigenFactor quadratic form size mismatch");
+  const double* lam = eig_.eigenvalues.data();
+  const double* v = eig_.eigenvectors.data();
+  const double* pb = b.data();
   double acc = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
-    const double lam = eig_.eigenvalues[j];
-    if (lam <= cutoff_) continue;
+    if (lam[j] <= cutoff_) continue;
     double proj = 0.0;
-    for (std::size_t i = 0; i < n; ++i) proj += eig_.eigenvectors(i, j) * b[i];
-    acc += proj * proj / lam;
+    for (std::size_t i = 0; i < n; ++i) proj += v[i * n + j] * pb[i];
+    acc += proj * proj / lam[j];
   }
   return acc;
 }

@@ -156,14 +156,18 @@ Matrix Matrix::outer(const Vector& a, const Vector& b) {
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   ROBOADS_CHECK(rows_ == rhs.rows_ && cols_ == rhs.cols_,
                 "matrix addition shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
+  double* out = data();
+  const double* r = rhs.data();
+  for (std::size_t i = 0, n = data_.size(); i < n; ++i) out[i] += r[i];
   return *this;
 }
 
 Matrix& Matrix::operator-=(const Matrix& rhs) {
   ROBOADS_CHECK(rows_ == rhs.rows_ && cols_ == rhs.cols_,
                 "matrix subtraction shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
+  double* out = data();
+  const double* r = rhs.data();
+  for (std::size_t i = 0, n = data_.size(); i < n; ++i) out[i] -= r[i];
   return *this;
 }
 
@@ -180,8 +184,11 @@ Matrix& Matrix::operator/=(double s) {
 
 Matrix Matrix::transpose() const {
   Matrix t(cols_, rows_);
+  const double* src = data();
+  double* dst = t.data();
   for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) t(j, i) = (*this)(i, j);
+    for (std::size_t j = 0; j < cols_; ++j)
+      dst[j * rows_ + i] = src[i * cols_ + j];
   return t;
 }
 
@@ -264,11 +271,13 @@ Matrix Matrix::symmetrized() const {
 
 void Matrix::symmetrize() {
   ROBOADS_CHECK(square(), "symmetrize() requires a square matrix");
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t j = i + 1; j < cols_; ++j) {
-      const double m = 0.5 * ((*this)(i, j) + (*this)(j, i));
-      (*this)(i, j) = m;
-      (*this)(j, i) = m;
+  const std::size_t n = rows_;
+  double* p = data();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double m = 0.5 * (p[i * n + j] + p[j * n + i]);
+      p[i * n + j] = m;
+      p[j * n + i] = m;
     }
   }
 }
@@ -304,12 +313,20 @@ Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
 
 Matrix operator*(const Matrix& a, const Matrix& b) {
   ROBOADS_CHECK_EQ(a.cols(), b.rows(), "matrix product shape mismatch");
-  Matrix out(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
+  const std::size_t rows = a.rows();
+  const std::size_t inner = a.cols();
+  const std::size_t cols = b.cols();
+  Matrix out(rows, cols);
+  const double* pa = a.data();
+  const double* pb = b.data();
+  double* po = out.data();
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* out_i = po + i * cols;
+    for (std::size_t k = 0; k < inner; ++k) {
+      const double aik = pa[i * inner + k];
       if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
+      const double* b_k = pb + k * cols;
+      for (std::size_t j = 0; j < cols; ++j) out_i[j] += aik * b_k[j];
     }
   }
   return out;
@@ -317,11 +334,17 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
 
 Vector operator*(const Matrix& a, const Vector& x) {
   ROBOADS_CHECK_EQ(a.cols(), x.size(), "matrix-vector shape mismatch");
-  Vector out(a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
+  const std::size_t rows = a.rows();
+  const std::size_t cols = a.cols();
+  Vector out(rows);
+  const double* pa = a.data();
+  const double* px = x.data();
+  double* po = out.data();
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* a_i = pa + i * cols;
     double acc = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) acc += a(i, j) * x[j];
-    out[i] = acc;
+    for (std::size_t j = 0; j < cols; ++j) acc += a_i[j] * px[j];
+    po[i] = acc;
   }
   return out;
 }
@@ -364,13 +387,20 @@ Matrix sandwich(const Matrix& a, const Matrix& s) {
   // as = A * S, then C = as * A^T accumulated on the lower triangle only and
   // mirrored, so C is exactly symmetric by construction.
   const Matrix as = a * s;
-  Matrix c(a.rows(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
+  const std::size_t n = a.rows();
+  const std::size_t inner = a.cols();
+  Matrix c(n, n);
+  const double* pas = as.data();
+  const double* pa = a.data();
+  double* pc = c.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* as_i = pas + i * inner;
     for (std::size_t j = 0; j <= i; ++j) {
+      const double* a_j = pa + j * inner;
       double acc = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) acc += as(i, k) * a(j, k);
-      c(i, j) = acc;
-      c(j, i) = acc;
+      for (std::size_t k = 0; k < inner; ++k) acc += as_i[k] * a_j[k];
+      pc[i * n + j] = acc;
+      pc[j * n + i] = acc;
     }
   }
   return c;
@@ -379,11 +409,16 @@ Matrix sandwich(const Matrix& a, const Matrix& s) {
 void add_self_adjoint(Matrix& c, const Matrix& y, double alpha) {
   ROBOADS_CHECK(c.square() && y.square() && c.rows() == y.rows(),
                 "add_self_adjoint shape mismatch");
-  for (std::size_t i = 0; i < c.rows(); ++i) {
+  // Each (i, j)/(j, i) pair is read before it is written and never read
+  // again, so `c` and `y` may be the same object.
+  const std::size_t n = c.rows();
+  const double* py = y.data();
+  double* pc = c.data();
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
-      const double s = alpha * (y(i, j) + y(j, i));
-      c(i, j) += s;
-      if (j != i) c(j, i) += s;
+      const double s = alpha * (py[i * n + j] + py[j * n + i]);
+      pc[i * n + j] += s;
+      if (j != i) pc[j * n + i] += s;
     }
   }
 }
@@ -396,12 +431,18 @@ void sym_rank_k_update(Matrix& c, const Matrix& a, double alpha) {
     sym_rank_k_update(c, copy, alpha);
     return;
   }
-  for (std::size_t i = 0; i < a.rows(); ++i) {
+  const std::size_t n = a.rows();
+  const std::size_t inner = a.cols();
+  const double* pa = a.data();
+  double* pc = c.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* a_i = pa + i * inner;
     for (std::size_t j = 0; j <= i; ++j) {
+      const double* a_j = pa + j * inner;
       double acc = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) acc += a(i, k) * a(j, k);
-      c(i, j) += alpha * acc;
-      if (j != i) c(j, i) += alpha * acc;
+      for (std::size_t k = 0; k < inner; ++k) acc += a_i[k] * a_j[k];
+      pc[i * n + j] += alpha * acc;
+      if (j != i) pc[j * n + i] += alpha * acc;
     }
   }
 }

@@ -2,8 +2,13 @@
 //
 // The library is deliberately small and double-only: every matrix the
 // detection system manipulates (state covariances, Jacobians, innovation
-// covariances) is tiny (< 12x12) and dense, so clarity and checked access win
-// over genericity. Matrices are row-major, value types with deep copy.
+// covariances) is tiny (< 12x12) and dense, so clarity wins over genericity.
+// Matrices are row-major, value types with deep copy. Element access through
+// operator() is bounds-checked; the arithmetic kernels (products, sandwich,
+// rank-k updates, transpose, symmetrize, the factorizations in decomp.h) are
+// entry-checked instead: every shape is validated once at kernel entry and
+// the loops then run over raw row-major pointers, in exactly the
+// floating-point operation order of the element-wise definitions.
 //
 // Storage is inline-first: elements up to a small fixed capacity live inside
 // the Vector/Matrix object itself and only larger workloads (LiDAR scans,
@@ -224,6 +229,10 @@ class Matrix {
     ROBOADS_CHECK(i < rows_ && j < cols_, "matrix index out of range");
     return data_[i * cols_ + j];
   }
+
+  // Raw contiguous row-major element access (rows() * cols() doubles).
+  const double* data() const { return data_.data(); }
+  double* data() { return data_.data(); }
 
   Matrix& operator+=(const Matrix& rhs);
   Matrix& operator-=(const Matrix& rhs);

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "kernel_reference.h"
+
 namespace roboads {
 namespace {
 
@@ -293,6 +295,114 @@ INSTANTIATE_TEST_SUITE_P(
     SizesAndSeeds, DecompProperty,
     ::testing::Combine(::testing::Values(1, 2, 3, 5, 8),
                        ::testing::Values(1, 2, 3)));
+
+// --- Entry-checked factorizations ≡ the element-wise checked loops, bit for
+// bit (see tests/kernel_reference.h). Shapes 1..11 stay inline; 12 and 16
+// spill to the heap.
+
+namespace ref = reference;
+
+constexpr int kKernelCases = 60;
+
+// The inputs a factorization meets: SPD, exactly singular PSD, indefinite,
+// and (in the `special` rounds) matrices carrying ±Inf / NaN.
+Matrix factor_input(ref::Generator& gen, std::size_t n, int c, bool special) {
+  if (special) return gen.matrix(n, n, true);
+  switch (c % 3) {
+    case 0: return gen.spd(n);
+    case 1: return gen.psd(n, n > 1 ? n / 2 : 1);
+    default: return gen.matrix(n, n, false);
+  }
+}
+
+TEST(KernelBitEquivalence, CholeskyFactorAndSolves) {
+  ref::Generator gen(201);
+  int factored = 0;
+  for (bool special : {false, true}) {
+    for (int c = 0; c < kKernelCases; ++c) {
+      const std::size_t n = gen.kernel_dim(c);
+      const Matrix a = factor_input(gen, n, c, special);
+      const Cholesky chol(a);
+      const ref::CholeskyFactor expect = ref::cholesky(a);
+      ASSERT_EQ(chol.ok(), expect.ok) << "n=" << n << " case " << c;
+      EXPECT_EQ(ref::diff(chol.l(), expect.l), "") << "n=" << n;
+      if (!chol.ok()) continue;
+      ++factored;
+
+      const Vector b = gen.vector(n, special);
+      EXPECT_EQ(ref::diff(chol.solve(b), ref::cholesky_solve(expect.l, b)),
+                "");
+      Vector in_place = b;
+      chol.solve_in_place(in_place);
+      EXPECT_EQ(ref::diff(in_place, ref::cholesky_solve(expect.l, b)), "");
+      const Matrix rhs = gen.matrix(n, gen.kernel_dim(c), special);
+      EXPECT_EQ(
+          ref::diff(chol.solve(rhs), ref::cholesky_solve(expect.l, rhs)), "");
+      EXPECT_TRUE(ref::same_bits(quadratic_form_spd(chol, b),
+                                 ref::quadratic_form_spd(expect.l, b)));
+    }
+  }
+  EXPECT_GE(factored, kKernelCases / 3);  // the solves really ran
+}
+
+TEST(KernelBitEquivalence, EigenSymmetricValuesAndVectors) {
+  ref::Generator gen(202);
+  for (bool special : {false, true}) {
+    for (int c = 0; c < kKernelCases; ++c) {
+      const std::size_t n = gen.kernel_dim(c);
+      // Symmetric and non-symmetric inputs: both paths symmetrize first.
+      const Matrix a = factor_input(gen, n, c, special);
+      const SymmetricEigen got = eigen_symmetric(a);
+      const SymmetricEigen expect = ref::eigen_symmetric(a);
+      EXPECT_EQ(ref::diff(got.eigenvalues, expect.eigenvalues), "")
+          << "n=" << n << " case " << c;
+      EXPECT_EQ(ref::diff(got.eigenvectors, expect.eigenvectors), "")
+          << "n=" << n << " case " << c;
+    }
+  }
+}
+
+TEST(KernelBitEquivalence, SpdEigenFactorQuantities) {
+  ref::Generator gen(203);
+  for (bool special : {false, true}) {
+    for (int c = 0; c < kKernelCases; ++c) {
+      const std::size_t n = gen.kernel_dim(c);
+      const Matrix a = factor_input(gen, n, c, special);
+      const Vector b = gen.vector(n, special);
+      for (bool dim_scaled : {false, true}) {
+        const SpdEigenFactor got(a, 1e-10, dim_scaled);
+        const ref::SpdEigen expect(a, 1e-10, dim_scaled);
+        SCOPED_TRACE("n=" + std::to_string(n) + " case " +
+                     std::to_string(c) + (dim_scaled ? " dim-scaled" : ""));
+        EXPECT_EQ(got.rank(), expect.rank);
+        EXPECT_EQ(ref::diff(got.eigen().eigenvalues, expect.eig.eigenvalues),
+                  "");
+        EXPECT_EQ(ref::diff(got.pseudo_inverse(), expect.pseudo_inverse()),
+                  "");
+        EXPECT_EQ(ref::diff(got.solve(b), expect.solve(b)), "");
+        EXPECT_TRUE(
+            ref::same_bits(got.quadratic_form(b), expect.quadratic_form(b)));
+      }
+    }
+  }
+}
+
+TEST(KernelBitEquivalence, FactorShapeChecksStayAtKernelEntry) {
+  EXPECT_THROW(Cholesky(Matrix(2, 3)), CheckError);
+  EXPECT_THROW(eigen_symmetric(Matrix(2, 3)), CheckError);
+  EXPECT_THROW(SpdEigenFactor(Matrix(3, 2)), CheckError);
+  const Cholesky chol(Matrix::identity(3));
+  EXPECT_THROW(chol.solve(Vector(2)), CheckError);
+  EXPECT_THROW(chol.solve(Matrix(2, 2)), CheckError);
+  EXPECT_THROW(quadratic_form_spd(chol, Vector(4)), CheckError);
+  const Cholesky failed(Matrix(3, 3));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_THROW(failed.solve(Vector(3)), CheckError);
+  EXPECT_THROW(failed.solve(Matrix(3, 1)), CheckError);
+  const SpdEigenFactor f(Matrix::identity(3));
+  EXPECT_THROW(f.solve(Vector(2)), CheckError);
+  EXPECT_THROW(f.quadratic_form(Vector(4)), CheckError);
+}
 
 }  // namespace
 }  // namespace roboads

@@ -7,6 +7,8 @@
 
 #include "core/engine.h"
 #include "dynamics/diff_drive.h"
+#include "eval/khepera.h"
+#include "eval/mission.h"
 #include "random/rng.h"
 #include "sensors/standard_sensors.h"
 
@@ -345,6 +347,85 @@ TEST(Engine, TraceActuallyExercisesModeSwitches) {
   const std::vector<EngineResult> results = run_trace(rig, modes, trace);
   EXPECT_EQ(results.front().selected_mode, results[40].selected_mode);
   EXPECT_EQ(results.back().selected_mode, 2u);  // ref:lidar — only clean one
+}
+
+bool same_result_bits(const NuiseResult& a, const NuiseResult& b) {
+  return same_bits(a.state, b.state) && same_bits(a.state_cov, b.state_cov) &&
+         same_bits(a.actuator_anomaly, b.actuator_anomaly) &&
+         same_bits(a.actuator_anomaly_cov, b.actuator_anomaly_cov) &&
+         same_bits(a.sensor_anomaly, b.sensor_anomaly) &&
+         same_bits(a.sensor_anomaly_cov, b.sensor_anomaly_cov) &&
+         same_bits(a.innovation, b.innovation) &&
+         same_bits(a.innovation_cov, b.innovation_cov) &&
+         same_bits(a.log_likelihood, b.log_likelihood) &&
+         a.actuator_identifiable == b.actuator_identifiable &&
+         a.correction_applied == b.correction_applied &&
+         a.likelihood_informative == b.likelihood_informative &&
+         a.degraded == b.degraded && a.active_testing == b.active_testing;
+}
+
+// The engine computes the mode-independent NUISE prefix once per step and
+// hands it to every mode; the public per-mode Nuise::step computes it
+// itself. Over a transport-faulted scenario-8 mission (IPS frames dropped,
+// so full, degraded-subset and prediction-only steps all occur), per-mode
+// Nuise::step followed by supervise_result must equal the engine's
+// per_mode bit for bit — on the default bank and on the complete mode set,
+// whose two-sensor references shrink to a subset when the IPS drops out.
+TEST(Engine, SharedPredictionMatchesPublicNuiseStepBitForBit) {
+  const eval::KheperaPlatform platform;
+  eval::MissionConfig mission_cfg;
+  mission_cfg.iterations = 120;
+  mission_cfg.seed = 88;
+  mission_cfg.transport_faults =
+      sim::TransportFaultConfig::single({"ips", 0.35}, 4242);
+  const eval::MissionResult mission =
+      eval::run_mission(platform, platform.table2_scenario(8), mission_cfg);
+  ASSERT_GT(mission.frames_dropped, 0u);
+
+  const SensorSuite& suite = platform.suite();
+  const EngineConfig cfg = platform.detector_config().engine;
+  std::size_t full = 0, degraded_subset = 0, prediction_only = 0;
+  for (const std::vector<Mode>& modes :
+       {one_reference_per_sensor(suite), complete_mode_set(suite)}) {
+    SCOPED_TRACE("modes = " + std::to_string(modes.size()));
+    MultiModeEngine engine(
+        platform.model(), suite, modes, platform.process_cov(),
+        platform.initial_state(),
+        Matrix::identity(platform.model().state_dim()) * 1e-4, cfg);
+    std::vector<Nuise> nuises;
+    for (const Mode& mode : modes) {
+      nuises.emplace_back(platform.model(), suite, mode,
+                          platform.process_cov());
+    }
+    for (const eval::IterationRecord& rec : mission.records) {
+      SCOPED_TRACE("k = " + std::to_string(rec.k));
+      std::vector<NuiseResult> twin;
+      for (std::size_t m = 0; m < nuises.size(); ++m) {
+        twin.push_back(nuises[m].step(engine.state(), engine.state_cov(),
+                                      rec.u_planned, rec.z,
+                                      rec.sensor_available));
+        supervise_result(twin.back(), modes[m], suite, cfg.health);
+      }
+      const EngineResult er =
+          engine.step(rec.u_planned, rec.z, rec.sensor_available);
+      ASSERT_EQ(er.per_mode.size(), twin.size());
+      for (std::size_t m = 0; m < twin.size(); ++m) {
+        ASSERT_TRUE(same_result_bits(twin[m], er.per_mode[m]))
+            << "mode " << modes[m].label;
+        const NuiseResult& r = er.per_mode[m];
+        if (!r.correction_applied) {
+          ++prediction_only;
+        } else if (r.degraded) {
+          ++degraded_subset;
+        } else {
+          ++full;
+        }
+      }
+    }
+  }
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(degraded_subset, 0u);
+  EXPECT_GT(prediction_only, 0u);
 }
 
 }  // namespace

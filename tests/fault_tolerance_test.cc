@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -120,6 +121,103 @@ TEST(RepairCovariance, ToleratesTinyNegativeNoiseWithoutRewrite) {
   const Matrix before = cov;
   EXPECT_FALSE(repair_covariance(cov, cfg));
   EXPECT_EQ(cov, before);
+}
+
+// The repair decision as made before the Cholesky certificate: always the
+// eigendecomposition.
+bool eigen_only_repair(Matrix& cov, const HealthConfig& cfg) {
+  if (cov.empty()) return false;
+  const SymmetricEigen eig = eigen_symmetric(cov.symmetrized());
+  const std::size_t n = eig.eigenvalues.size();
+  const double lambda_max = std::max(eig.eigenvalues[0], 0.0);
+  const double scale = std::max(1.0, lambda_max);
+  if (eig.eigenvalues[n - 1] >= -cfg.psd_tol * scale) return false;
+  const double floor = cfg.eigen_floor * scale;
+  Matrix repaired(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double lambda = std::max(eig.eigenvalues[i], floor);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        repaired(r, c) +=
+            lambda * eig.eigenvectors(r, i) * eig.eigenvectors(c, i);
+      }
+    }
+  }
+  cov = repaired.symmetrized();
+  return true;
+}
+
+// Q diag(lambdas) Qᵀ for a seeded orthonormal Q, exactly symmetrized.
+Matrix with_spectrum(const std::vector<double>& lambdas, std::uint64_t seed) {
+  const std::size_t n = lambdas.size();
+  Rng rng(seed);
+  Matrix b(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.gaussian();
+  const Matrix q = eigen_symmetric(b.symmetrized()).eigenvectors;
+  return (q * Matrix::diagonal(Vector(lambdas)) * q.transpose()).symmetrized();
+}
+
+bool same_matrix_bits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  return std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+// The Cholesky certificate may only skip the eigendecomposition where the
+// eigen path would have concluded "no repair" anyway: return value and
+// output matrix must be bit-identical to the eigen-only decision, across
+// scales and with λ_min on both sides of −psd_tol·max(1, λ_max).
+TEST(RepairCovariance, CholeskyCertificateMatchesEigenOnlyDecision) {
+  std::uint64_t seed = 1;
+  std::size_t repaired = 0;
+  std::size_t certifiable = 0;
+  std::size_t cases = 0;
+  for (double psd_tol : {1e-9, 1e-12}) {  // 1e-12: certificate disabled
+    HealthConfig cfg;
+    cfg.psd_tol = psd_tol;
+    std::vector<Matrix> inputs;
+    for (std::size_t n : {2u, 3u, 5u, 10u}) {
+      for (double scale : {1e-6, 1e-3, 1.0, 1e3, 1e6}) {
+        for (double f : {-2.0, -0.5, 0.5, 2.0}) {
+          std::vector<double> lambdas(n);
+          for (std::size_t i = 0; i + 1 < n; ++i) {
+            lambdas[i] = scale * (1.0 - 0.8 * static_cast<double>(i) /
+                                            static_cast<double>(n));
+          }
+          lambdas[n - 1] = f * psd_tol * std::max(1.0, scale);
+          inputs.push_back(with_spectrum(lambdas, ++seed));
+        }
+        // SPD, and exactly singular PSD: rank one, and a zero eigenvalue.
+        std::vector<double> spd(n, scale);
+        inputs.push_back(with_spectrum(spd, ++seed));
+        const Matrix v = Matrix::diagonal(Vector(n, 1.0)).block(0, 0, n, 1);
+        Matrix rank_one(n, n);
+        sym_rank_k_update(rank_one, v, scale);
+        inputs.push_back(rank_one);
+        Matrix zero_eig = Matrix::identity(n) * scale;
+        zero_eig(n - 1, n - 1) = 0.0;
+        inputs.push_back(zero_eig);
+      }
+    }
+    inputs.push_back(Matrix(3, 3));  // all zeros
+    for (const Matrix& input : inputs) {
+      Matrix got = input;
+      Matrix expect = input;
+      const bool got_repaired = repair_covariance(got, cfg);
+      ASSERT_EQ(got_repaired, eigen_only_repair(expect, cfg))
+          << "psd_tol=" << psd_tol << " input=" << input;
+      EXPECT_TRUE(same_matrix_bits(got, expect)) << input;
+      if (!got_repaired) EXPECT_TRUE(same_matrix_bits(got, input));
+      repaired += got_repaired ? 1 : 0;
+      certifiable += Cholesky(input.symmetrized()).ok() ? 1 : 0;
+      ++cases;
+    }
+  }
+  // Exactly the λ_min = −2·psd_tol·scale inputs needed a repair, and the
+  // certificate had positive-definite inputs to skip.
+  EXPECT_EQ(repaired, 2u * 4u * 5u);
+  EXPECT_GT(certifiable, cases / 4);
 }
 
 // --- supervise_result. ---

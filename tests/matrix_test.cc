@@ -5,6 +5,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "kernel_reference.h"
+
 namespace roboads {
 namespace {
 
@@ -333,6 +335,152 @@ TEST_P(MatrixAlgebraProperty, DistributivityAndTrace) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatrixAlgebraProperty,
                          ::testing::Range(0, 8));
+
+// --- Entry-checked kernels ≡ the element-wise checked loops, bit for bit.
+//
+// Seeded random shapes from 1x1 to 11x11 (inline storage) plus 12x12 and
+// 16x16 (heap storage, so the sanitizer passes see the raw loops on both),
+// with entries drawn to include exact zeros, ±0, subnormals and — in the
+// `special` rounds — ±Inf and NaN.
+
+namespace ref = reference;
+
+constexpr int kKernelCases = 80;
+
+std::string shape_of(const Matrix& m) {
+  return std::to_string(m.rows()) + "x" + std::to_string(m.cols());
+}
+
+TEST(KernelBitEquivalence, MatrixProduct) {
+  ref::Generator gen(101);
+  for (bool special : {false, true}) {
+    for (int c = 0; c < kKernelCases; ++c) {
+      const std::size_t r = gen.kernel_dim(c);
+      const std::size_t k = gen.kernel_dim(c);
+      const std::size_t n = gen.kernel_dim(c);
+      const Matrix a = gen.matrix(r, k, special);
+      const Matrix b = gen.matrix(k, n, special);
+      EXPECT_EQ(ref::diff(a * b, ref::product(a, b)), "")
+          << shape_of(a) << " * " << shape_of(b);
+    }
+  }
+}
+
+TEST(KernelBitEquivalence, MatrixVectorProduct) {
+  ref::Generator gen(102);
+  for (bool special : {false, true}) {
+    for (int c = 0; c < kKernelCases; ++c) {
+      const Matrix a =
+          gen.matrix(gen.kernel_dim(c), gen.kernel_dim(c), special);
+      const Vector x = gen.vector(a.cols(), special);
+      EXPECT_EQ(ref::diff(a * x, ref::product(a, x)), "") << shape_of(a);
+    }
+  }
+}
+
+TEST(KernelBitEquivalence, TransposeAndSymmetrize) {
+  ref::Generator gen(103);
+  for (bool special : {false, true}) {
+    for (int c = 0; c < kKernelCases; ++c) {
+      const Matrix a =
+          gen.matrix(gen.kernel_dim(c), gen.kernel_dim(c), special);
+      EXPECT_EQ(ref::diff(a.transpose(), ref::transpose(a)), "")
+          << shape_of(a);
+      const std::size_t n = gen.kernel_dim(c);
+      const Matrix s = gen.matrix(n, n, special);
+      EXPECT_EQ(ref::diff(s.symmetrized(), ref::symmetrized(s)), "")
+          << shape_of(s);
+    }
+  }
+}
+
+TEST(KernelBitEquivalence, AddAndSubtractInPlace) {
+  ref::Generator gen(104);
+  for (bool special : {false, true}) {
+    for (int c = 0; c < kKernelCases; ++c) {
+      const std::size_t r = gen.kernel_dim(c);
+      const std::size_t n = gen.kernel_dim(c);
+      const Matrix a = gen.matrix(r, n, special);
+      const Matrix b = gen.matrix(r, n, special);
+      Matrix sum = a, expect_sum = a;
+      sum += b;
+      ref::add(expect_sum, b);
+      EXPECT_EQ(ref::diff(sum, expect_sum), "") << shape_of(a);
+      Matrix difference = a, expect_difference = a;
+      difference -= b;
+      ref::subtract(expect_difference, b);
+      EXPECT_EQ(ref::diff(difference, expect_difference), "") << shape_of(a);
+    }
+  }
+}
+
+TEST(KernelBitEquivalence, Sandwich) {
+  ref::Generator gen(105);
+  for (bool special : {false, true}) {
+    for (int c = 0; c < kKernelCases; ++c) {
+      const std::size_t k = gen.kernel_dim(c);
+      const Matrix a = gen.matrix(gen.kernel_dim(c), k, special);
+      const Matrix s = gen.matrix(k, k, special);
+      EXPECT_EQ(ref::diff(sandwich(a, s), ref::sandwich(a, s)), "")
+          << shape_of(a) << " * " << shape_of(s);
+    }
+  }
+}
+
+TEST(KernelBitEquivalence, AddSelfAdjointIncludingAliased) {
+  ref::Generator gen(106);
+  for (bool special : {false, true}) {
+    for (int c = 0; c < kKernelCases; ++c) {
+      const std::size_t n = gen.kernel_dim(c);
+      const double alpha = c % 3 == 0 ? -1.0 : gen.value(false);
+      const Matrix c0 = gen.matrix(n, n, special);
+      const Matrix y = gen.matrix(n, n, special);
+      Matrix got = c0, expect = c0;
+      add_self_adjoint(got, y, alpha);
+      ref::add_self_adjoint(expect, y, alpha);
+      EXPECT_EQ(ref::diff(got, expect), "") << shape_of(c0);
+      // c and y the same object.
+      Matrix got_alias = c0, expect_alias = c0;
+      add_self_adjoint(got_alias, got_alias, alpha);
+      ref::add_self_adjoint(expect_alias, expect_alias, alpha);
+      EXPECT_EQ(ref::diff(got_alias, expect_alias), "") << shape_of(c0);
+    }
+  }
+}
+
+TEST(KernelBitEquivalence, SymRankKUpdateIncludingAliased) {
+  ref::Generator gen(107);
+  for (bool special : {false, true}) {
+    for (int c = 0; c < kKernelCases; ++c) {
+      const std::size_t n = gen.kernel_dim(c);
+      const double alpha = c % 3 == 0 ? 1.0 : gen.value(false);
+      const Matrix c0 = gen.matrix(n, n, special);
+      const Matrix a = gen.matrix(n, gen.kernel_dim(c), special);
+      Matrix got = c0, expect = c0;
+      sym_rank_k_update(got, a, alpha);
+      ref::sym_rank_k_update(expect, a, alpha);
+      EXPECT_EQ(ref::diff(got, expect), "") << shape_of(a);
+      Matrix got_alias = c0, expect_alias = c0;
+      sym_rank_k_update(got_alias, got_alias, alpha);
+      ref::sym_rank_k_update(expect_alias, expect_alias, alpha);
+      EXPECT_EQ(ref::diff(got_alias, expect_alias), "") << shape_of(c0);
+    }
+  }
+}
+
+TEST(KernelBitEquivalence, ShapeChecksStayAtKernelEntry) {
+  EXPECT_THROW(Matrix(2, 3) * Matrix(2, 3), CheckError);
+  EXPECT_THROW(Matrix(2, 3) * Vector(2), CheckError);
+  EXPECT_THROW(sandwich(Matrix(2, 3), Matrix(2, 2)), CheckError);
+  EXPECT_THROW(sandwich(Matrix(2, 3), Matrix(3, 2)), CheckError);
+  Matrix sq(3, 3);
+  EXPECT_THROW(add_self_adjoint(sq, Matrix(2, 2)), CheckError);
+  EXPECT_THROW(sym_rank_k_update(sq, Matrix(2, 3)), CheckError);
+  EXPECT_THROW(sq += Matrix(3, 2), CheckError);
+  EXPECT_THROW(sq -= Matrix(2, 3), CheckError);
+  Matrix rect(2, 3);
+  EXPECT_THROW(rect.symmetrize(), CheckError);
+}
 
 }  // namespace
 }  // namespace roboads
