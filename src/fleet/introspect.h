@@ -8,7 +8,8 @@
 // (write <path>.tmp, rename), the same reader-never-sees-a-partial-file
 // discipline as the shard supervisor's status.json (shard/status.cc).
 //
-// Serialization is single-line JSON with round-trip-precision numbers, so
+// Serialization is single-line JSON with round-trip-precision numbers,
+// driven by the visit_fields lists below (obs/jsonl.h), so
 // serialize → parse → serialize is byte-stable: `roboads_fleet top --once
 // --json` re-emits exactly the published line, and the per-shard latency
 // histograms embed obs::write_histogram output, whose merge algebra the
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -68,6 +70,26 @@ struct ShardStat {
   obs::HistogramSnapshot ingest_to_alarm_ns;
 };
 
+// The JSON fields of each snapshot row (obs/jsonl.h), in line order.
+template <class V>
+void visit_fields(ShardStat& s, V& v) {
+  v("shard", s.shard);
+  v("sessions", s.sessions);
+  v("steps", s.steps);
+  v("sensor_alarms", s.sensor_alarms);
+  v("actuator_alarms", s.actuator_alarms);
+  v("quarantine_iterations", s.quarantine_iterations);
+  v("dropped_packets", s.dropped_packets);
+  v("forwarded_packets", s.forwarded_packets);
+  v("queue_depth", s.queue_depth);
+  v("queue_high_water", s.queue_high_water);
+  v("reorder_pending", s.reorder_pending);
+  v("ewma_queue_depth", s.ewma_queue_depth);
+  v("ewma_steps_per_s", s.ewma_steps_per_s);
+  v("ingest_to_step_ns", s.ingest_to_step_ns);
+  v("ingest_to_alarm_ns", s.ingest_to_alarm_ns);
+}
+
 // One robot's row: the session's stream counters plus live occupancy and
 // the EWMAs the hot-robot ranking orders by.
 struct RobotStat {
@@ -87,6 +109,24 @@ struct RobotStat {
   bool traced = false;                // emits spans (trace_sample hit)
 };
 
+template <class V>
+void visit_fields(RobotStat& r, V& v) {
+  v("robot", r.robot);
+  v("shard", r.shard);
+  v("steps", r.steps);
+  v("sensor_alarms", r.sensor_alarms);
+  v("actuator_alarms", r.actuator_alarms);
+  v("late_packets", r.late_packets);
+  v("duplicate_packets", r.duplicate_packets);
+  v("forced_evictions", r.forced_evictions);
+  v("masked_steps", r.masked_steps);
+  v("command_substituted", r.command_substituted);
+  v("reorder_pending", r.reorder_pending);
+  v("ewma_steps_per_s", r.ewma_steps_per_s);
+  v("ewma_step_latency_ns", r.ewma_step_latency_ns);
+  v("traced", r.traced);
+}
+
 // Rolling alarm-feed entry.
 struct FleetAlarm {
   double unix_time = 0.0;
@@ -96,6 +136,16 @@ struct FleetAlarm {
   bool actuator = false;
   double latency_ns = 0.0;  // ingest→alarm for the frame (0 = unknown)
 };
+
+template <class V>
+void visit_fields(FleetAlarm& a, V& v) {
+  v("unix_time", a.unix_time);
+  v("robot", a.robot);
+  v("k", a.k);
+  v("sensor", a.sensor);
+  v("actuator", a.actuator);
+  v("latency_ns", a.latency_ns);
+}
 
 // Advisory output of the hot-shard policy: "shard `from_shard` is running
 // hot; its busiest robot would fit on `to_shard`". The data feed for the
@@ -108,6 +158,16 @@ struct RebalanceHint {
   double to_rate = 0.0;     // target shard's EWMA steps/s
   double robot_rate = 0.0;  // the robot's own EWMA steps/s
 };
+
+template <class V>
+void visit_fields(RebalanceHint& h, V& v) {
+  v("robot", h.robot);
+  v("from_shard", h.from_shard);
+  v("to_shard", h.to_shard);
+  v("from_rate", h.from_rate);
+  v("to_rate", h.to_rate);
+  v("robot_rate", h.robot_rate);
+}
 
 struct FleetStatusSnapshot {
   double unix_time = 0.0;
@@ -131,6 +191,30 @@ struct FleetStatusSnapshot {
   std::vector<FleetAlarm> alarms;      // oldest → newest
   std::vector<RebalanceHint> hints;    // from_shard order
 };
+
+// A version bump goes with any change here (docs/OBSERVABILITY.md).
+template <class V>
+void visit_fields(FleetStatusSnapshot& s, V& v) {
+  obs::json::schema_tag(v, "fleet_status", "roboads-fleet-status", 1);
+  v("unix_time", s.unix_time);
+  v("seq", s.seq);
+  v("robots", s.robots);
+  v("steps", s.steps);
+  v("sensor_alarms", s.sensor_alarms);
+  v("actuator_alarms", s.actuator_alarms);
+  v("quarantine_iterations", s.quarantine_iterations);
+  v("dropped_packets", s.dropped_packets);
+  v("forwarded_packets", s.forwarded_packets);
+  v("unknown_robot_packets", s.unknown_robot_packets);
+  v("trace_sample", s.trace_sample);
+  v("spans", s.spans);
+  v("ingest_to_step_ns", s.ingest_to_step_ns);
+  v("ingest_to_alarm_ns", s.ingest_to_alarm_ns);
+  v("shards", s.shards);
+  v("hot_robots", s.hot_robots);
+  v("alarms", s.alarms);
+  v("hints", s.hints);
+}
 
 // The pure hint policy, unit-testable without a live service: a shard is
 // hot when its EWMA step rate exceeds hot_ratio × the mean over all shards

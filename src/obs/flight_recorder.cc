@@ -17,13 +17,6 @@ namespace {
 
 constexpr char kBundleName[] = "roboads-postmortem";
 
-void write_key(std::ostream& os, const char* key, bool first = false) {
-  json::write_field_key(os, key, first);
-}
-
-using json::write_doubles;
-using json::write_ints;
-
 // Bundle lines are parsed by the shared JSONL layer (obs/jsonl.h); this
 // wrapper skips blank lines, threads the line counter, and tags every
 // diagnostic with "bundle line N".
@@ -41,27 +34,22 @@ json::Fields parse_line(std::istream& is, std::size_t& line_no,
                    " line");
 }
 
+// The header line: the trigger and how many record lines follow.
+template <class Bundle, class Count, class V>
+void visit_header(Bundle& b, Count& records, V& v) {
+  json::schema_tag(v, "bundle", kBundleName, PostmortemBundle::kSchemaVersion);
+  v("trigger", b.trigger);
+  v("trigger_k", b.trigger_k);
+  v("detail", b.detail);
+  v("records", records);
+}
 
-void write_snapshot_line(std::ostream& os, std::int64_t k,
-                         const DetectorStateSnapshot& snap) {
-  os << '{';
-  write_key(os, "event", /*first=*/true);
-  os << "\"snapshot\"";
-  write_key(os, "k");
-  os << k;
-  write_key(os, "state");
-  write_doubles(os, snap.state);
-  write_key(os, "state_cov");
-  write_doubles(os, snap.state_cov);
-  write_key(os, "weights");
-  write_doubles(os, snap.weights);
-  write_key(os, "health");
-  write_ints(os, snap.health);
-  write_key(os, "decision");
-  write_ints(os, snap.decision);
-  write_key(os, "iteration");
-  os << snap.iteration;
-  os << "}\n";
+// The warm-start line: the first record's k and pre-step state.
+template <class K, class V>
+void visit_snapshot(K& k, DetectorStateSnapshot& snap, V& v) {
+  v.expect("event", "snapshot");
+  v("k", k);
+  visit_fields(snap, v);
 }
 
 }  // namespace
@@ -159,226 +147,50 @@ std::vector<PostmortemBundle> FlightRecorder::take_bundles() {
 }
 
 void write_bundle(std::ostream& os, const PostmortemBundle& bundle) {
-  // Header.
-  os << '{';
-  write_key(os, "event", /*first=*/true);
-  os << "\"bundle\"";
-  write_key(os, "name");
-  os << '"' << kBundleName << '"';
-  write_key(os, "version");
-  os << PostmortemBundle::kSchemaVersion;
-  write_key(os, "trigger");
-  json::write_escaped(os, bundle.trigger);
-  write_key(os, "trigger_k");
-  os << bundle.trigger_k;
-  write_key(os, "detail");
-  json::write_escaped(os, bundle.detail);
-  write_key(os, "records");
-  os << bundle.records.size();
-  os << "}\n";
-
-  // Provenance.
-  const BundleProvenance& p = bundle.provenance;
-  os << '{';
-  write_key(os, "event", /*first=*/true);
-  os << "\"provenance\"";
-  write_key(os, "label");
-  json::write_escaped(os, p.label);
-  write_key(os, "platform");
-  json::write_escaped(os, p.platform);
-  write_key(os, "scenario");
-  json::write_escaped(os, p.scenario);
-  write_key(os, "description");
-  json::write_escaped(os, p.description);
-  write_key(os, "seed");
-  os << p.seed;
-  write_key(os, "iterations");
-  os << p.iterations;
-  write_key(os, "dt");
-  json::write_number(os, p.dt);
-  write_key(os, "linear_baseline");
-  os << (p.linear_baseline ? "true" : "false");
-  write_key(os, "likelihood_floor");
-  json::write_number(os, p.likelihood_floor);
-  write_key(os, "health_enabled");
-  os << (p.health_enabled ? "true" : "false");
-  write_key(os, "sensor_alpha");
-  json::write_number(os, p.sensor_alpha);
-  write_key(os, "actuator_alpha");
-  json::write_number(os, p.actuator_alpha);
-  write_key(os, "sensor_window");
-  os << p.sensor_window;
-  write_key(os, "sensor_criteria");
-  os << p.sensor_criteria;
-  write_key(os, "actuator_window");
-  os << p.actuator_window;
-  write_key(os, "actuator_criteria");
-  os << p.actuator_criteria;
-  write_key(os, "modes");
-  json::write_escaped(os, p.modes);
-  write_key(os, "sensors");
-  json::write_escaped(os, p.sensors);
-  write_key(os, "sensor_dims");
-  write_ints(os, p.sensor_dims);
-  write_key(os, "state_dim");
-  os << p.state_dim;
-  write_key(os, "input_dim");
-  os << p.input_dim;
-  os << "}\n";
+  const std::uint64_t records = bundle.records.size();
+  json::write_object(os, [&](json::FieldWriter& v) {
+    visit_header(bundle, records, v);
+  });
+  os << '\n';
+  json::write_record(os, bundle.provenance);
+  os << '\n';
 
   // Warm-start snapshot: the first record's pre-step state. Per-record
   // snapshots would multiply the file size for no replay benefit — stepping
   // forward from the window start reproduces every later state exactly.
+  // (The writer only reads the snapshot it is handed.)
   static const DetectorStateSnapshot kEmptySnapshot;
-  write_snapshot_line(
-      os, bundle.records.empty() ? 0 : bundle.records.front().k,
-      bundle.records.empty() ? kEmptySnapshot
-                             : bundle.records.front().pre_step);
+  const std::int64_t k = bundle.records.empty() ? 0 : bundle.records.front().k;
+  const DetectorStateSnapshot& snap =
+      bundle.records.empty() ? kEmptySnapshot : bundle.records.front().pre_step;
+  json::write_object(os, [&](json::FieldWriter& v) {
+    visit_snapshot(k, const_cast<DetectorStateSnapshot&>(snap), v);
+  });
+  os << '\n';
 
   for (const FlightRecord& r : bundle.records) {
-    os << '{';
-    write_key(os, "event", /*first=*/true);
-    os << "\"record\"";
-    write_key(os, "k");
-    os << r.k;
-    write_key(os, "u");
-    write_doubles(os, r.u);
-    write_key(os, "z");
-    write_doubles(os, r.z);
-    write_key(os, "availability");
-    json::write_escaped(os, r.availability);
-    write_key(os, "selected_mode");
-    os << r.selected_mode;
-    write_key(os, "mode_weights");
-    write_doubles(os, r.mode_weights);
-    write_key(os, "log_likelihoods");
-    write_doubles(os, r.log_likelihoods);
-    write_key(os, "innovation_norms");
-    write_doubles(os, r.innovation_norms);
-    write_key(os, "sensor_chi2");
-    json::write_number(os, r.sensor_chi2);
-    write_key(os, "sensor_threshold");
-    json::write_number(os, r.sensor_threshold);
-    write_key(os, "sensor_alarm");
-    os << (r.sensor_alarm ? "true" : "false");
-    write_key(os, "actuator_chi2");
-    json::write_number(os, r.actuator_chi2);
-    write_key(os, "actuator_threshold");
-    json::write_number(os, r.actuator_threshold);
-    write_key(os, "actuator_alarm");
-    os << (r.actuator_alarm ? "true" : "false");
-    write_key(os, "per_sensor_chi2");
-    write_doubles(os, r.per_sensor_chi2);
-    write_key(os, "per_sensor_threshold");
-    write_doubles(os, r.per_sensor_threshold);
-    write_key(os, "misbehaving");
-    json::write_escaped(os, r.misbehaving);
-    write_key(os, "sensor_anomaly");
-    write_doubles(os, r.sensor_anomaly);
-    write_key(os, "actuator_anomaly");
-    write_doubles(os, r.actuator_anomaly);
-    write_key(os, "mode_health");
-    json::write_escaped(os, r.mode_health);
-    write_key(os, "quarantined");
-    os << r.quarantined;
-    write_key(os, "containment");
-    os << (r.containment ? "true" : "false");
-    write_key(os, "truth_valid");
-    os << (r.truth_valid ? "true" : "false");
-    write_key(os, "truth_sensors");
-    json::write_escaped(os, r.truth_sensors);
-    write_key(os, "truth_actuator");
-    os << (r.truth_actuator ? "true" : "false");
-    os << "}\n";
+    json::write_record(os, r);
+    os << '\n';
   }
 }
 
 PostmortemBundle read_bundle(std::istream& is) {
   std::size_t line_no = 0;
   PostmortemBundle bundle;
-
-  const json::Fields header = parse_line(is, line_no, "header");
-  ROBOADS_CHECK_EQ(header.string("event"), std::string("bundle"),
-                   "not a postmortem bundle header");
-  ROBOADS_CHECK_EQ(header.string("name"), std::string(kBundleName),
-                   "unknown bundle name");
-  ROBOADS_CHECK_EQ(header.integer("version"),
-                   static_cast<std::int64_t>(PostmortemBundle::kSchemaVersion),
-                   "unsupported bundle schema version");
-  bundle.trigger = header.string("trigger");
-  bundle.trigger_k = header.integer("trigger_k");
-  bundle.detail = header.string("detail");
-  const std::int64_t record_count = header.integer("records");
-
-  const json::Fields prov = parse_line(is, line_no, "provenance");
-  ROBOADS_CHECK_EQ(prov.string("event"), std::string("provenance"),
-                   "expected provenance line");
-  BundleProvenance& p = bundle.provenance;
-  p.label = prov.string("label");
-  p.platform = prov.string("platform");
-  p.scenario = prov.string("scenario");
-  p.description = prov.string("description");
-  p.seed = prov.integer("seed");
-  p.iterations = prov.integer("iterations");
-  p.dt = prov.number("dt");
-  p.linear_baseline = prov.boolean("linear_baseline");
-  p.likelihood_floor = prov.number("likelihood_floor");
-  p.health_enabled = prov.boolean("health_enabled");
-  p.sensor_alpha = prov.number("sensor_alpha");
-  p.actuator_alpha = prov.number("actuator_alpha");
-  p.sensor_window = prov.integer("sensor_window");
-  p.sensor_criteria = prov.integer("sensor_criteria");
-  p.actuator_window = prov.integer("actuator_window");
-  p.actuator_criteria = prov.integer("actuator_criteria");
-  p.modes = prov.string("modes");
-  p.sensors = prov.string("sensors");
-  p.sensor_dims = prov.integers("sensor_dims");
-  p.state_dim = prov.integer("state_dim");
-  p.input_dim = prov.integer("input_dim");
-
-  const json::Fields snap = parse_line(is, line_no, "snapshot");
-  ROBOADS_CHECK_EQ(snap.string("event"), std::string("snapshot"),
-                   "expected snapshot line");
+  std::uint64_t records = 0;
+  json::read_object(parse_line(is, line_no, "header"),
+                    [&](json::FieldReader& v) {
+                      visit_header(bundle, records, v);
+                    });
+  json::read_record(parse_line(is, line_no, "provenance"), bundle.provenance);
+  std::int64_t k = 0;
   DetectorStateSnapshot warm;
-  warm.state = snap.numbers("state");
-  warm.state_cov = snap.numbers("state_cov");
-  warm.weights = snap.numbers("weights");
-  warm.health = snap.integers("health");
-  warm.decision = snap.integers("decision");
-  warm.iteration = snap.integer("iteration");
+  json::read_object(parse_line(is, line_no, "snapshot"),
+                    [&](json::FieldReader& v) { visit_snapshot(k, warm, v); });
 
-  bundle.records.reserve(static_cast<std::size_t>(record_count));
-  for (std::int64_t i = 0; i < record_count; ++i) {
-    const json::Fields f = parse_line(is, line_no, "record");
-    ROBOADS_CHECK_EQ(f.string("event"), std::string("record"),
-                     "expected record line");
-    FlightRecord r;
-    r.k = f.integer("k");
-    r.u = f.numbers("u");
-    r.z = f.numbers("z");
-    r.availability = f.string("availability");
-    r.selected_mode = f.integer("selected_mode");
-    r.mode_weights = f.numbers("mode_weights");
-    r.log_likelihoods = f.numbers("log_likelihoods");
-    r.innovation_norms = f.numbers("innovation_norms");
-    r.sensor_chi2 = f.number("sensor_chi2");
-    r.sensor_threshold = f.number("sensor_threshold");
-    r.sensor_alarm = f.boolean("sensor_alarm");
-    r.actuator_chi2 = f.number("actuator_chi2");
-    r.actuator_threshold = f.number("actuator_threshold");
-    r.actuator_alarm = f.boolean("actuator_alarm");
-    r.per_sensor_chi2 = f.numbers("per_sensor_chi2");
-    r.per_sensor_threshold = f.numbers("per_sensor_threshold");
-    r.misbehaving = f.string("misbehaving");
-    r.sensor_anomaly = f.numbers("sensor_anomaly");
-    r.actuator_anomaly = f.numbers("actuator_anomaly");
-    r.mode_health = f.string("mode_health");
-    r.quarantined = f.integer("quarantined");
-    r.containment = f.boolean("containment");
-    r.truth_valid = f.boolean("truth_valid");
-    r.truth_sensors = f.string("truth_sensors");
-    r.truth_actuator = f.boolean("truth_actuator");
-    bundle.records.push_back(std::move(r));
+  for (std::uint64_t i = 0; i < records; ++i) {
+    json::read_record(parse_line(is, line_no, "record"),
+                      bundle.records.emplace_back());
   }
   if (!bundle.records.empty()) bundle.records.front().pre_step = warm;
   return bundle;

@@ -15,7 +15,9 @@
 //
 // Layering: this header, like the rest of src/obs, depends only on
 // roboads_common — every payload is a flat std::vector<double> /
-// std::vector<std::int64_t> / std::string, and core/ does the packing. The
+// std::vector<std::int64_t> / std::string, and core/ does the packing.
+// Each line's fields are declared once, by the visit_fields functions
+// below (obs/jsonl.h). The
 // recorder is per-mission state (the ring is a single timeline); batch
 // sweeps construct one recorder per job and must never share one across
 // concurrently running missions.
@@ -59,6 +61,17 @@ struct DetectorStateSnapshot {
   std::int64_t iteration = 0;         // completed detector iterations
 };
 
+// JSON fields of each bundle line's record (obs/jsonl.h), in line order.
+template <class V>
+void visit_fields(DetectorStateSnapshot& s, V& v) {
+  v("state", s.state);
+  v("state_cov", s.state_cov);
+  v("weights", s.weights);
+  v("health", s.health);
+  v("decision", s.decision);
+  v("iteration", s.iteration);
+}
+
 // One control iteration as the recorder sees it. Every field is sized by
 // the (fixed) suite/mode/input dimensions, so ring slots are written by
 // same-size assignment and steady-state recording allocates nothing.
@@ -98,6 +111,37 @@ struct FlightRecord {
   bool truth_actuator = false;
 };
 
+// A record line; `pre_step` travels separately (write_bundle).
+template <class V>
+void visit_fields(FlightRecord& r, V& v) {
+  v.expect("event", "record");
+  v("k", r.k);
+  v("u", r.u);
+  v("z", r.z);
+  v("availability", r.availability);
+  v("selected_mode", r.selected_mode);
+  v("mode_weights", r.mode_weights);
+  v("log_likelihoods", r.log_likelihoods);
+  v("innovation_norms", r.innovation_norms);
+  v("sensor_chi2", r.sensor_chi2);
+  v("sensor_threshold", r.sensor_threshold);
+  v("sensor_alarm", r.sensor_alarm);
+  v("actuator_chi2", r.actuator_chi2);
+  v("actuator_threshold", r.actuator_threshold);
+  v("actuator_alarm", r.actuator_alarm);
+  v("per_sensor_chi2", r.per_sensor_chi2);
+  v("per_sensor_threshold", r.per_sensor_threshold);
+  v("misbehaving", r.misbehaving);
+  v("sensor_anomaly", r.sensor_anomaly);
+  v("actuator_anomaly", r.actuator_anomaly);
+  v("mode_health", r.mode_health);
+  v("quarantined", r.quarantined);
+  v("containment", r.containment);
+  v("truth_valid", r.truth_valid);
+  v("truth_sensors", r.truth_sensors);
+  v("truth_actuator", r.truth_actuator);
+}
+
 // Everything the replay harness needs to reconstruct the run: which
 // platform/scenario/seed, and the detector knobs that shape estimation.
 struct BundleProvenance {
@@ -124,6 +168,32 @@ struct BundleProvenance {
   std::int64_t state_dim = 0;
   std::int64_t input_dim = 0;
 };
+
+template <class V>
+void visit_fields(BundleProvenance& p, V& v) {
+  v.expect("event", "provenance");
+  v("label", p.label);
+  v("platform", p.platform);
+  v("scenario", p.scenario);
+  v("description", p.description);
+  v("seed", p.seed);
+  v("iterations", p.iterations);
+  v("dt", p.dt);
+  v("linear_baseline", p.linear_baseline);
+  v("likelihood_floor", p.likelihood_floor);
+  v("health_enabled", p.health_enabled);
+  v("sensor_alpha", p.sensor_alpha);
+  v("actuator_alpha", p.actuator_alpha);
+  v("sensor_window", p.sensor_window);
+  v("sensor_criteria", p.sensor_criteria);
+  v("actuator_window", p.actuator_window);
+  v("actuator_criteria", p.actuator_criteria);
+  v("modes", p.modes);
+  v("sensors", p.sensors);
+  v("sensor_dims", p.sensor_dims);
+  v("state_dim", p.state_dim);
+  v("input_dim", p.input_dim);
+}
 
 enum class BundleTrigger {
   kSensorAlarm,

@@ -1,6 +1,7 @@
-// Minimal JSON emission helpers shared by the trace sink and the metrics
-// snapshot writer. Emission only — the library never parses JSON beyond the
-// structural validator in trace.h.
+// JSON emission primitives — string escaping and round-trip number
+// formatting — shared by the trace sink, the metrics snapshot writer and
+// every JSONL schema. The matching parser, and the field visitors that
+// drive both directions from one field list, live in obs/jsonl.h.
 #pragma once
 
 #include <cmath>
@@ -43,9 +44,10 @@ inline void write_number(std::ostream& os, double v) {
     return;
   }
   // Round-trip precision; integral values print without an exponent so the
-  // common case (iterations, indices, masks) stays human-readable.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
+  // common case (iterations, indices, masks) stays human-readable. The
+  // magnitude test comes first: casting a double beyond long long's range
+  // is undefined.
+  if (std::abs(v) < 1e15 && v == std::trunc(v)) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
     os << buf;

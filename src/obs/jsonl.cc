@@ -1,5 +1,8 @@
 #include "obs/jsonl.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -12,6 +15,10 @@
 
 namespace roboads::obs::json {
 namespace {
+
+// Deepest real schema nesting is 4 (object → array → object → histogram
+// → array); anything far beyond that is not one of ours.
+constexpr std::size_t kMaxDepth = 64;
 
 class LineParser {
  public:
@@ -75,28 +82,60 @@ class LineParser {
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        case 'u': {
-          if (i_ + 4 > s_.size()) fail("truncated \\u escape");
-          const std::string hex = s_.substr(i_, 4);
-          i_ += 4;
-          out += static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16));
-          break;
-        }
+        case 'u': out += parse_ascii_escape(); break;
         default: fail("unsupported escape");
       }
     }
   }
 
-  double parse_number() {
-    const char* begin = s_.c_str() + i_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) fail("malformed number");
-    i_ += static_cast<std::size_t>(end - begin);
-    return v;
+  // The four hex digits of a \uXXXX escape. Writers only escape control
+  // characters; a code point past ASCII would need UTF-8 encoding, so it is
+  // refused rather than truncated to one byte.
+  char parse_ascii_escape() {
+    const std::size_t begin = i_;
+    for (int n = 0; n < 4; ++n) {
+      if (!std::isxdigit(static_cast<unsigned char>(next()))) {
+        fail("\\u escape needs four hex digits");
+      }
+    }
+    const unsigned long code = std::strtoul(s_.substr(begin, 4).c_str(),
+                                            nullptr, 16);
+    if (code >= 0x80) fail("unsupported non-ASCII \\u escape");
+    return static_cast<char>(code);
   }
 
-  Value parse_value() {
+  bool at(char c) const { return i_ < s_.size() && s_[i_] == c; }
+  // Consumes a run of digits; false when there is none.
+  bool digits() {
+    const std::size_t begin = i_;
+    while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') ++i_;
+    return i_ > begin;
+  }
+
+  // JSON number syntax only — strtod alone would also take "inf", "nan",
+  // hex floats and a leading '+'.
+  double parse_number() {
+    const std::size_t begin = i_;
+    if (at('-')) ++i_;
+    if (at('0')) {
+      ++i_;
+    } else if (!digits()) {
+      fail("malformed number");
+    }
+    if (at('.')) {
+      ++i_;
+      if (!digits()) fail("malformed number");
+    }
+    if (at('e') || at('E')) {
+      ++i_;
+      if (at('+') || at('-')) ++i_;
+      if (!digits()) fail("malformed number");
+    }
+    return std::strtod(s_.substr(begin, i_ - begin).c_str(), nullptr);
+  }
+
+  Value parse_value(std::size_t depth = 0) {
+    if (depth > kMaxDepth) fail("nesting too deep");
     skip_ws();
     Value v;
     const char c = peek();
@@ -125,7 +164,7 @@ class LineParser {
         return v;
       }
       while (true) {
-        v.items.push_back(parse_value());
+        v.items.push_back(parse_value(depth + 1));
         skip_ws();
         const char e = next();
         if (e == ']') break;
@@ -144,7 +183,7 @@ class LineParser {
         std::string key = parse_string();
         skip_ws();
         expect(':');
-        v.members[std::move(key)] = parse_value();
+        v.members[std::move(key)] = parse_value(depth + 1);
         skip_ws();
         const char e = next();
         if (e == '}') break;
@@ -152,7 +191,9 @@ class LineParser {
       }
     } else {
       v.kind = Value::Kind::kNumber;
+      const std::size_t begin = i_;
       v.num = parse_number();
+      v.str = s_.substr(begin, i_ - begin);
     }
     return v;
   }
@@ -177,113 +218,156 @@ const Value& Fields::at(const char* key) const {
   return it->second;
 }
 
+namespace {
+
+// Exact conversion of a parsed number to a 64-bit integer. Plain integer
+// literals are converted from their text, so values past 2^53 (seeds,
+// large counters) keep every digit. Anything else (1e3, 2.0) goes through
+// the double, with every check made before the cast: null (NaN), ±inf,
+// 2.7 and 1e300 are refused instead of reaching an undefined float→int
+// conversion. 2^63 and 2^64 are exact doubles, hence the half-open bound.
+template <class T>
+bool to_integer(const Value& v, T& out) {
+  if (v.kind != Value::Kind::kNumber) return false;
+  const bool negative = v.str[0] == '-';
+  if (v.str.find_first_of(".eE") == std::string::npos &&
+      !(std::is_unsigned_v<T> && negative)) {
+    errno = 0;
+    if constexpr (std::is_signed_v<T>) {
+      out = std::strtoll(v.str.c_str(), nullptr, 10);
+    } else {
+      out = std::strtoull(v.str.c_str(), nullptr, 10);
+    }
+    return errno == 0;
+  }
+  constexpr double kMin = std::is_signed_v<T> ? -0x1p63 : 0.0;
+  constexpr double kEnd = std::is_signed_v<T> ? 0x1p63 : 0x1p64;
+  if (v.num != std::trunc(v.num) || !(v.num >= kMin && v.num < kEnd)) {
+    return false;
+  }
+  out = static_cast<T>(v.num);
+  return true;
+}
+
+}  // namespace
+
 double Fields::number(const char* key) const {
   const Value& v = at(key);
   if (v.kind != Value::Kind::kNumber && v.kind != Value::Kind::kNull) {
-    fail(key, "number");
+    fail(key, "a number");
   }
   return v.num;
 }
 
 std::int64_t Fields::integer(const char* key) const {
-  return static_cast<std::int64_t>(number(key));
+  std::int64_t out = 0;
+  if (!to_integer(at(key), out)) fail(key, "a 64-bit integer");
+  return out;
+}
+
+std::uint64_t Fields::unsigned_integer(const char* key) const {
+  std::uint64_t out = 0;
+  if (!to_integer(at(key), out)) fail(key, "a non-negative 64-bit integer");
+  return out;
 }
 
 bool Fields::boolean(const char* key) const {
   const Value& v = at(key);
-  if (v.kind != Value::Kind::kBool) fail(key, "bool");
+  if (v.kind != Value::Kind::kBool) fail(key, "a bool");
   return v.b;
 }
 
 const std::string& Fields::string(const char* key) const {
   const Value& v = at(key);
-  if (v.kind != Value::Kind::kString) fail(key, "string");
+  if (v.kind != Value::Kind::kString) fail(key, "a string");
   return v.str;
 }
 
-std::vector<double> Fields::numbers(const char* key) const {
+const Value& Fields::array(const char* key) const {
   const Value& v = at(key);
-  if (v.kind != Value::Kind::kArray) fail(key, "array");
+  if (v.kind != Value::Kind::kArray) fail(key, "an array");
+  return v;
+}
+
+std::vector<double> Fields::numbers(const char* key) const {
+  const Value& v = array(key);
   std::vector<double> out;
   out.reserve(v.items.size());
   for (const Value& item : v.items) {
     if (item.kind != Value::Kind::kNumber &&
         item.kind != Value::Kind::kNull) {
-      fail(key, "numeric array");
+      fail(key, "a numeric array");
     }
     out.push_back(item.num);
   }
   return out;
 }
 
-std::vector<std::int64_t> Fields::integers(const char* key) const {
-  const std::vector<double> nums = numbers(key);
-  std::vector<std::int64_t> out(nums.size());
-  for (std::size_t i = 0; i < nums.size(); ++i) {
-    out[i] = static_cast<std::int64_t>(nums[i]);
+template <class T>
+std::vector<T> Fields::integer_array(const char* key, const char* want) const {
+  const Value& v = array(key);
+  std::vector<T> out(v.items.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (!to_integer(v.items[i], out[i])) fail(key, want);
   }
   return out;
 }
 
+std::vector<std::int64_t> Fields::integers(const char* key) const {
+  return integer_array<std::int64_t>(key, "a 64-bit integer array");
+}
+
+std::vector<std::uint64_t> Fields::unsigned_integers(const char* key) const {
+  return integer_array<std::uint64_t>(
+      key, "a non-negative 64-bit integer array");
+}
+
 std::vector<std::string> Fields::strings(const char* key) const {
-  const Value& v = at(key);
-  if (v.kind != Value::Kind::kArray) fail(key, "array");
+  const Value& v = array(key);
   std::vector<std::string> out;
   out.reserve(v.items.size());
   for (const Value& item : v.items) {
-    if (item.kind != Value::Kind::kString) fail(key, "string array");
+    if (item.kind != Value::Kind::kString) fail(key, "a string array");
     out.push_back(item.str);
   }
   return out;
 }
 
-std::vector<Fields> Fields::objects(const char* key) const {
+Fields Fields::object(const char* key) const {
   const Value& v = at(key);
-  if (v.kind != Value::Kind::kArray) fail(key, "array");
+  if (v.kind != Value::Kind::kObject) fail(key, "an object");
+  return Fields(v.members, context_ + " field '" + key + "'");
+}
+
+std::vector<Fields> Fields::objects(const char* key) const {
+  const Value& v = array(key);
   std::vector<Fields> out;
   out.reserve(v.items.size());
   for (const Value& item : v.items) {
-    if (item.kind != Value::Kind::kObject) fail(key, "object array");
+    if (item.kind != Value::Kind::kObject) fail(key, "an object array");
     out.emplace_back(item.members, context_);
   }
   return out;
 }
 
 void Fields::fail(const char* key, const char* want) const {
-  throw CheckError(context_ + ": field '" + std::string(key) +
-                   "' is not a " + want);
+  throw CheckError(context_ + ": field '" + std::string(key) + "' is not " +
+                   want);
 }
 
-void write_field_key(std::ostream& os, const char* key, bool first) {
-  if (!first) os << ',';
-  os << '"' << key << "\":";
-}
-
-void write_doubles(std::ostream& os, const std::vector<double>& v) {
-  os << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << ',';
-    write_number(os, v[i]);
+void FieldReader::expect(const char* key, const char* word) const {
+  if (f_.string(key) != word) {
+    throw CheckError(f_.context() + ": field '" + key + "' is \"" +
+                     f_.string(key) + "\", expected \"" + word + "\"");
   }
-  os << ']';
 }
 
-void write_ints(std::ostream& os, const std::vector<std::int64_t>& v) {
-  os << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << ',';
-    os << v[i];
+void FieldReader::expect(const char* key, std::int64_t value) const {
+  if (f_.integer(key) != value) {
+    throw CheckError(f_.context() + ": field '" + key + "' is " +
+                     std::to_string(f_.integer(key)) + ", expected " +
+                     std::to_string(value));
   }
-  os << ']';
-}
-
-void write_strings(std::ostream& os, const std::vector<std::string>& v) {
-  os << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << ',';
-    write_escaped(os, v[i]);
-  }
-  os << ']';
 }
 
 TailTolerantRead read_jsonl_tail_tolerant(
@@ -336,6 +420,17 @@ TailTolerantRead read_jsonl_tail_tolerant(
     std::filesystem::resize_file(path, good_end);
   }
   return result;
+}
+
+std::string read_published_line(const std::string& path,
+                                const std::string& noun,
+                                const std::string& missing_hint) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw CheckError(path + ": no " + noun + " (" + missing_hint + ")");
+  std::string line;
+  ROBOADS_CHECK(static_cast<bool>(std::getline(is, line)),
+                path + ": empty " + noun);
+  return line;
 }
 
 void publish_line(const std::string& path, const std::string& line,

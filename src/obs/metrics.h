@@ -149,9 +149,21 @@ struct HistogramSnapshot {
 // per worker (shard/status.cc).
 HistogramSnapshot merge_snapshots(const std::vector<HistogramSnapshot>& parts);
 
+// A snapshot's JSON fields (obs/jsonl.h), in line order.
+template <class V>
+void visit_fields(HistogramSnapshot& h, V& v) {
+  v("bounds", h.bounds);
+  v("buckets", h.buckets);
+  v("count", h.count);
+  v("sum", h.sum);
+  v("sumsq", h.sum_squares);
+  v("max", h.max);
+}
+
 // Serializes a snapshot as a JSON object (one line, no trailing newline):
 // {"bounds":[...],"buckets":[...],"count":N,"sum":S,"sumsq":Q,"max":M}.
-// Numbers use round-trip precision, so write→parse→write is byte-stable.
+// Numbers use round-trip precision, so write→parse→write is byte-stable;
+// parsing also checks the buckets match the bounds.
 void write_histogram(std::ostream& os, const HistogramSnapshot& h);
 HistogramSnapshot parse_histogram(const json::Fields& object);
 
@@ -227,6 +239,22 @@ struct MetricSample {
   std::vector<double> bounds;
   std::vector<std::uint64_t> buckets;
 };
+
+// A metrics-dump line's fields after its "metric"/"kind" head
+// (obs/jsonl.h); histogram samples add their aggregates.
+template <class V>
+void visit_sample_values(MetricSample& s, V& v) {
+  v("value", s.value);
+  if (s.kind != MetricSample::Kind::kHistogram) return;
+  v("sum", s.sum);
+  v("mean", s.mean);
+  v("p50", s.p50);
+  v("p90", s.p90);
+  v("p95", s.p95);
+  v("p99", s.p99);
+  v("max", s.max);
+  v("buckets", s.buckets);
+}
 
 // Named metric store. Thread-safe; see the header comment for the intended
 // lookup-once usage pattern.

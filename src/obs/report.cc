@@ -182,19 +182,8 @@ std::vector<MetricSample> load_metrics_jsonl(const std::string& path) {
     } else {
       throw CheckError(context + ": unknown metric kind '" + kind + "'");
     }
-    s.value = f.number("value");
-    if (s.kind == MetricSample::Kind::kHistogram) {
-      s.sum = f.number("sum");
-      s.mean = f.number("mean");
-      s.p50 = f.number("p50");
-      s.p90 = f.number("p90");
-      s.p95 = f.number("p95");
-      s.p99 = f.number("p99");
-      s.max = f.number("max");
-      for (std::int64_t b : f.integers("buckets")) {
-        s.buckets.push_back(static_cast<std::uint64_t>(b));
-      }
-    }
+    json::FieldReader values(f);
+    visit_sample_values(s, values);
     samples.push_back(std::move(s));
   }
   return samples;
@@ -202,12 +191,10 @@ std::vector<MetricSample> load_metrics_jsonl(const std::string& path) {
 
 void write_named_histogram(std::ostream& os, const std::string& name,
                            const HistogramSnapshot& histogram) {
-  os << '{';
-  json::write_field_key(os, "name", /*first=*/true);
-  json::write_escaped(os, name);
-  json::write_field_key(os, "histogram");
-  write_histogram(os, histogram);
-  os << '}';
+  json::write_object(os, [&](json::FieldWriter& v) {
+    v("name", name);
+    v("histogram", histogram);
+  });
 }
 
 std::vector<NamedHistogram> load_histograms_jsonl(const std::string& path) {
@@ -221,8 +208,7 @@ std::vector<NamedHistogram> load_histograms_jsonl(const std::string& path) {
     NamedHistogram h;
     if (f.has("histogram")) {
       h.name = f.string("name");
-      h.histogram = parse_histogram(
-          json::Fields(f.at("histogram").members, context));
+      h.histogram = parse_histogram(f.object("histogram"));
     } else if (f.has("bounds")) {
       // A bare write_histogram object; name it by position.
       h.name = "histogram[" + std::to_string(line_no) + "]";

@@ -28,6 +28,14 @@ struct OutcomeDelay {
   std::optional<double> seconds;  // nullopt: never correctly detected
 };
 
+// The JSON fields of the outcome line's nested objects (obs/jsonl.h).
+template <class V>
+void visit_fields(OutcomeDelay& d, V& v) {
+  v("label", d.label);
+  v("triggered_at", d.triggered_at);
+  v("seconds", d.seconds);
+}
+
 // One invariant violation found by a fuzz job (shrunk reproducer included).
 struct OutcomeFinding {
   std::string invariant;
@@ -35,6 +43,14 @@ struct OutcomeFinding {
   std::string spec_text;    // the campaign as generated (serialized)
   std::string shrunk_text;  // greedily minimized reproducer (serialized)
 };
+
+template <class V>
+void visit_fields(OutcomeFinding& f, V& v) {
+  v("invariant", f.invariant);
+  v("detail", f.detail);
+  v("spec", f.spec_text);
+  v("shrunk", f.shrunk_text);
+}
 
 // The complete, serializable result of one manifest job — everything the
 // merger needs, and nothing nondeterministic: no timing, no worker or shard

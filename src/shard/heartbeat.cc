@@ -3,11 +3,7 @@
 #include <sys/stat.h>
 #include <time.h>
 
-#include <fstream>
-#include <sstream>
-
 #include "common/check.h"
-#include "obs/json.h"
 #include "obs/jsonl.h"
 
 namespace roboads::shard {
@@ -15,40 +11,17 @@ namespace roboads::shard {
 namespace json = obs::json;
 
 void write_heartbeat(const std::string& path, const Heartbeat& beat) {
-  std::ostringstream line;
-  line << '{';
-  json::write_field_key(line, "label", /*first=*/true);
-  json::write_escaped(line, beat.label);
-  json::write_field_key(line, "jobs_done");
-  line << beat.jobs_done;
-  json::write_field_key(line, "last_job");
-  json::write_escaped(line, beat.last_job);
-  json::write_field_key(line, "last_job_unix_time");
-  json::write_number(line, beat.last_job_unix_time);
-  json::write_field_key(line, "current_job");
-  json::write_escaped(line, beat.current_job);
-  line << '}';
-  json::publish_line(path, line.str(), "heartbeat");
+  json::publish_line(path, json::record_line(beat), "heartbeat");
 }
 
 std::optional<Heartbeat> read_heartbeat(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  std::string line;
-  if (!std::getline(is, line)) return std::nullopt;
   try {
-    const std::string context = "heartbeat " + path;
-    json::Fields f(json::parse_object_line(line, context), context);
-    Heartbeat beat;
-    beat.label = f.string("label");
-    beat.jobs_done = static_cast<std::uint64_t>(f.integer("jobs_done"));
-    beat.last_job = f.string("last_job");
-    beat.last_job_unix_time = f.number("last_job_unix_time");
-    beat.current_job = f.string("current_job");
-    return beat;
+    return json::parse_record<Heartbeat>(
+        json::read_published_line(path, "heartbeat", "worker not started"),
+        "heartbeat " + path);
   } catch (const std::exception&) {
-    // Legacy plain-text payload or a beat torn mid-rename publish — the
-    // mtime is still meaningful, the payload just is not.
+    // Missing, a legacy plain-text payload, or a beat torn mid-rename
+    // publish — the mtime is still meaningful, the payload just is not.
     return std::nullopt;
   }
 }

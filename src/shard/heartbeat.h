@@ -30,6 +30,16 @@ struct Heartbeat {
   std::string current_job;     // id of the job in flight ("" = idle)
 };
 
+// The payload's JSON fields (obs/jsonl.h), in line order.
+template <class V>
+void visit_fields(Heartbeat& b, V& v) {
+  v("label", b.label);
+  v("jobs_done", b.jobs_done);
+  v("last_job", b.last_job);
+  v("last_job_unix_time", b.last_job_unix_time);
+  v("current_job", b.current_job);
+}
+
 // Atomically (re)writes the heartbeat file. The watchdog reads the mtime
 // for liveness; the JSON payload is advisory.
 void write_heartbeat(const std::string& path, const Heartbeat& beat);

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/json.h"
 #include "obs/jsonl.h"
 #include "scenario/library.h"
 
@@ -26,51 +25,50 @@ JobKind kind_from(const std::string& word, std::size_t line) {
   manifest_error(line, "unknown job kind \"" + word + "\"");
 }
 
-void write_job(std::ostream& os, const ManifestJob& job) {
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  os << "\"job\"";
-  json::write_field_key(os, "id");
-  json::write_escaped(os, job.id);
-  json::write_field_key(os, "shard");
-  os << job.shard;
-  json::write_field_key(os, "kind");
-  os << '"' << to_string(job.kind) << '"';
-  json::write_field_key(os, "group");
-  json::write_escaped(os, job.group);
+// The header line.
+template <class Shards, class Jobs, class V>
+void visit_header(Shards& shards, Jobs& jobs, V& v) {
+  json::schema_tag(v, "manifest", kManifestName, Manifest::kVersion);
+  v("shards", shards);
+  v("jobs", jobs);
+}
+
+// A job line's kind-specific tail; the common head (event, id, shard,
+// kind, group) is checked field by field as it is read.
+template <class Job, class V>
+void visit_kind_fields(Job& job, V& v) {
   switch (job.kind) {
     case JobKind::kSpec:
-      json::write_field_key(os, "seed");
-      os << job.seed;
-      json::write_field_key(os, "iterations");
-      os << job.iterations;
-      json::write_field_key(os, "spec");
-      json::write_escaped(os, job.spec_text);
+      v("seed", job.seed);
+      v("iterations", job.iterations);
+      v("spec", job.spec_text);
       break;
     case JobKind::kLibrary:
-      json::write_field_key(os, "seed");
-      os << job.seed;
-      json::write_field_key(os, "iterations");
-      os << job.iterations;
-      json::write_field_key(os, "scenario");
-      json::write_escaped(os, job.scenario);
+      v("seed", job.seed);
+      v("iterations", job.iterations);
+      v("scenario", job.scenario);
       break;
     case JobKind::kFuzz:
-      json::write_field_key(os, "fuzz_seed");
-      os << job.fuzz_seed;
-      json::write_field_key(os, "fuzz_index");
-      os << job.fuzz_index;
-      json::write_field_key(os, "fuzz_iterations");
-      os << job.fuzz_iterations;
-      json::write_field_key(os, "max_attacks");
-      os << job.max_attacks;
-      json::write_field_key(os, "fault_probability");
-      json::write_number(os, job.fault_probability);
-      json::write_field_key(os, "platforms");
-      json::write_strings(os, job.platforms);
+      v("fuzz_seed", job.fuzz_seed);
+      v("fuzz_index", job.fuzz_index);
+      v("fuzz_iterations", job.fuzz_iterations);
+      v("max_attacks", job.max_attacks);
+      v("fault_probability", job.fault_probability);
+      v("platforms", job.platforms);
       break;
   }
-  os << "}\n";
+}
+
+void write_job(std::ostream& os, const ManifestJob& job) {
+  json::write_object(os, [&](json::FieldWriter& v) {
+    v.expect("event", "job");
+    v("id", job.id);
+    v("shard", job.shard);
+    v.expect("kind", to_string(job.kind));
+    v("group", job.group);
+    visit_kind_fields(job, v);
+  });
+  os << '\n';
 }
 
 }  // namespace
@@ -86,18 +84,11 @@ const char* to_string(JobKind kind) {
 
 std::string serialize(const Manifest& manifest) {
   std::ostringstream os;
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  os << "\"manifest\"";
-  json::write_field_key(os, "name");
-  os << '"' << kManifestName << '"';
-  json::write_field_key(os, "version");
-  os << Manifest::kVersion;
-  json::write_field_key(os, "shards");
-  os << manifest.shards;
-  json::write_field_key(os, "jobs");
-  os << manifest.jobs.size();
-  os << "}\n";
+  const std::size_t jobs = manifest.jobs.size();
+  json::write_object(os, [&](json::FieldWriter& v) {
+    visit_header(manifest.shards, jobs, v);
+  });
+  os << '\n';
   for (const ManifestJob& job : manifest.jobs) write_job(os, job);
   return os.str();
 }
@@ -121,16 +112,9 @@ Manifest parse_manifest_impl(const std::string& text) {
       if (event != "manifest") {
         manifest_error(num, "expected the manifest header line first");
       }
-      if (f.string("name") != kManifestName) {
-        manifest_error(num, "not a " + std::string(kManifestName) + " file");
-      }
-      if (f.integer("version") != Manifest::kVersion) {
-        manifest_error(num, "unsupported manifest version " +
-                                std::to_string(f.integer("version")));
-      }
-      manifest.shards = static_cast<std::size_t>(f.integer("shards"));
+      json::FieldReader header(f);
+      visit_header(manifest.shards, declared_jobs, header);
       if (manifest.shards == 0) manifest_error(num, "shards must be >= 1");
-      declared_jobs = static_cast<std::size_t>(f.integer("jobs"));
       saw_header = true;
       continue;
     }
@@ -140,7 +124,7 @@ Manifest parse_manifest_impl(const std::string& text) {
     ManifestJob job;
     job.id = f.string("id");
     if (job.id.empty()) manifest_error(num, "job id must be non-empty");
-    job.shard = static_cast<std::size_t>(f.integer("shard"));
+    job.shard = f.unsigned_integer("shard");
     if (job.shard >= manifest.shards) {
       manifest_error(num, "job \"" + job.id + "\" assigned to shard " +
                               std::to_string(job.shard) + " of " +
@@ -148,27 +132,8 @@ Manifest parse_manifest_impl(const std::string& text) {
     }
     job.kind = kind_from(f.string("kind"), num);
     job.group = f.string("group");
-    switch (job.kind) {
-      case JobKind::kSpec:
-        job.seed = static_cast<std::uint64_t>(f.integer("seed"));
-        job.iterations = static_cast<std::size_t>(f.integer("iterations"));
-        job.spec_text = f.string("spec");
-        break;
-      case JobKind::kLibrary:
-        job.seed = static_cast<std::uint64_t>(f.integer("seed"));
-        job.iterations = static_cast<std::size_t>(f.integer("iterations"));
-        job.scenario = f.string("scenario");
-        break;
-      case JobKind::kFuzz:
-        job.fuzz_seed = static_cast<std::uint64_t>(f.integer("fuzz_seed"));
-        job.fuzz_index = static_cast<std::size_t>(f.integer("fuzz_index"));
-        job.fuzz_iterations =
-            static_cast<std::size_t>(f.integer("fuzz_iterations"));
-        job.max_attacks = static_cast<std::size_t>(f.integer("max_attacks"));
-        job.fault_probability = f.number("fault_probability");
-        job.platforms = f.strings("platforms");
-        break;
-    }
+    json::FieldReader tail(f);
+    visit_kind_fields(job, tail);
     for (const ManifestJob& seen : manifest.jobs) {
       if (seen.id == job.id) {
         manifest_error(num, "duplicate job id \"" + job.id + "\"");

@@ -52,30 +52,24 @@ void fold(GroupStats& g, const JobOutcome& o) {
   }
 }
 
-void write_counts(std::ostream& os, const char* key,
-                  std::int64_t tp, std::int64_t fp, std::int64_t tn,
-                  std::int64_t fn) {
-  json::write_field_key(os, key);
-  json::write_ints(os, {tp, fp, tn, fn});
+// One report line from an ad-hoc field list (obs/jsonl.h).
+template <class Visit>
+void write_line(std::ostream& os, Visit&& visit) {
+  json::write_object(os, visit);
+  os << '\n';
 }
 
 void write_ci_line(std::ostream& os, const char* metric,
                    const std::vector<double>& samples) {
   const stats::MeanCi95 ci = stats::mean_ci95(samples);
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  json::write_escaped(os, "ci");
-  json::write_field_key(os, "metric");
-  json::write_escaped(os, metric);
-  json::write_field_key(os, "groups");
-  json::write_number(os, static_cast<double>(ci.n));
-  json::write_field_key(os, "mean");
-  json::write_number(os, ci.mean);
-  json::write_field_key(os, "stddev");
-  json::write_number(os, ci.stddev);
-  json::write_field_key(os, "ci95");
-  json::write_doubles(os, {ci.lo, ci.hi});
-  os << "}\n";
+  write_line(os, [&](json::FieldWriter& v) {
+    v.expect("event", "ci");
+    v("metric", std::string(metric));
+    v("groups", ci.n);
+    v("mean", ci.mean);
+    v("stddev", ci.stddev);
+    v("ci95", std::vector<double>{ci.lo, ci.hi});
+  });
 }
 
 }  // namespace
@@ -136,41 +130,25 @@ MergedReport merge_outcomes(const Manifest& manifest,
 
   std::ostringstream os;
 
-  // Header.
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  json::write_escaped(os, "report");
-  json::write_field_key(os, "name");
-  json::write_escaped(os, "roboads-shard-report");
-  json::write_field_key(os, "version");
-  json::write_number(os, 1);
-  json::write_field_key(os, "jobs");
-  json::write_number(os, static_cast<double>(report.stats.total_jobs));
-  json::write_field_key(os, "completed");
-  json::write_number(os, static_cast<double>(report.stats.completed));
-  json::write_field_key(os, "complete");
-  os << (report.stats.complete ? "true" : "false");
-  os << "}\n";
+  write_line(os, [&](json::FieldWriter& v) {
+    json::schema_tag(v, "report", "roboads-shard-report", 1);
+    v("jobs", report.stats.total_jobs);
+    v("completed", report.stats.completed);
+    v("complete", report.stats.complete);
+  });
 
   // Whole-campaign aggregate.
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  json::write_escaped(os, "aggregate");
-  json::write_field_key(os, "ok");
-  json::write_number(os, static_cast<double>(report.stats.ok));
-  json::write_field_key(os, "failed");
-  json::write_number(os, static_cast<double>(report.stats.failed));
-  json::write_field_key(os, "violations");
-  json::write_number(os, static_cast<double>(report.stats.violations));
-  write_counts(os, "sensor", s_tp, s_fp, s_tn, s_fn);
-  write_counts(os, "actuator", a_tp, a_fp, a_tn, a_fn);
-  json::write_field_key(os, "fpr");
-  json::write_number(os, total_counts.false_positive_rate());
-  json::write_field_key(os, "fnr");
-  json::write_number(os, total_counts.false_negative_rate());
-  json::write_field_key(os, "f1");
-  json::write_number(os, total_counts.f1());
-  os << "}\n";
+  write_line(os, [&](json::FieldWriter& v) {
+    v.expect("event", "aggregate");
+    v("ok", report.stats.ok);
+    v("failed", report.stats.failed);
+    v("violations", report.stats.violations);
+    v("sensor", std::vector<std::int64_t>{s_tp, s_fp, s_tn, s_fn});
+    v("actuator", std::vector<std::int64_t>{a_tp, a_fp, a_tn, a_fn});
+    v("fpr", total_counts.false_positive_rate());
+    v("fnr", total_counts.false_negative_rate());
+    v("f1", total_counts.f1());
+  });
 
   // 95% confidence intervals across replication groups (groups carrying
   // mission metrics only — a fuzz group contributes no confusion counts).
@@ -199,78 +177,51 @@ MergedReport merge_outcomes(const Manifest& manifest,
     obs::HistogramSnapshot hist =
         obs::HistogramSnapshot::with_bounds(obs::default_delay_bounds_s());
     for (const double d : g.delay_seconds) hist.record(d);
-    os << '{';
-    json::write_field_key(os, "event", /*first=*/true);
-    json::write_escaped(os, "telemetry");
-    json::write_field_key(os, "metric");
-    json::write_escaped(os, "detection_delay_s");
-    json::write_field_key(os, "group");
-    json::write_escaped(os, g.name);
-    json::write_field_key(os, "count");
-    json::write_number(os, static_cast<double>(hist.count));
-    json::write_field_key(os, "mean");
-    json::write_number(os, hist.mean());
-    json::write_field_key(os, "stddev");
-    json::write_number(os, hist.stddev());
-    json::write_field_key(os, "ci95");
-    json::write_doubles(os, {hist.mean() - hist.ci95_half_width(),
-                             hist.mean() + hist.ci95_half_width()});
-    json::write_field_key(os, "p50");
-    json::write_number(os, hist.quantile(0.50));
-    json::write_field_key(os, "p90");
-    json::write_number(os, hist.quantile(0.90));
-    json::write_field_key(os, "p99");
-    json::write_number(os, hist.quantile(0.99));
-    json::write_field_key(os, "max");
-    json::write_number(os, hist.max);
-    json::write_field_key(os, "hist");
-    obs::write_histogram(os, hist);
-    os << "}\n";
+    const double half = hist.ci95_half_width();
+    write_line(os, [&](json::FieldWriter& v) {
+      v.expect("event", "telemetry");
+      v("metric", std::string("detection_delay_s"));
+      v("group", g.name);
+      v("count", hist.count);
+      v("mean", hist.mean());
+      v("stddev", hist.stddev());
+      v("ci95", std::vector<double>{hist.mean() - half, hist.mean() + half});
+      v("p50", hist.quantile(0.50));
+      v("p90", hist.quantile(0.90));
+      v("p99", hist.quantile(0.99));
+      v("max", hist.max);
+      v("hist", hist);
+    });
   }
 
   // Per-group lines, in manifest first-appearance order.
   for (const GroupStats& g : groups) {
-    os << '{';
-    json::write_field_key(os, "event", /*first=*/true);
-    json::write_escaped(os, "group");
-    json::write_field_key(os, "group");
-    json::write_escaped(os, g.name);
-    json::write_field_key(os, "jobs");
-    json::write_number(os, static_cast<double>(g.jobs));
-    json::write_field_key(os, "ok");
-    json::write_number(os, static_cast<double>(g.ok));
-    json::write_field_key(os, "failed");
-    json::write_number(os, static_cast<double>(g.failed));
-    json::write_field_key(os, "violations");
-    json::write_number(os, static_cast<double>(g.violations));
-    if (g.has_metrics()) {
-      json::write_field_key(os, "fpr");
-      json::write_number(os, g.counts.false_positive_rate());
-      json::write_field_key(os, "fnr");
-      json::write_number(os, g.counts.false_negative_rate());
-      json::write_field_key(os, "detection_delay");
-      if (g.delay_seconds.empty()) {
-        os << "null";
-      } else {
-        json::write_number(os, stats::mean(g.delay_seconds));
+    write_line(os, [&](json::FieldWriter& v) {
+      v.expect("event", "group");
+      v("group", g.name);
+      v("jobs", g.jobs);
+      v("ok", g.ok);
+      v("failed", g.failed);
+      v("violations", g.violations);
+      if (g.has_metrics()) {
+        v("fpr", g.counts.false_positive_rate());
+        v("fnr", g.counts.false_negative_rate());
+        v("detection_delay",
+          g.delay_seconds.empty()
+              ? std::nullopt
+              : std::optional<double>(stats::mean(g.delay_seconds)));
+        v("missed_delays", g.missed_delays);
       }
-      json::write_field_key(os, "missed_delays");
-      json::write_number(os, static_cast<double>(g.missed_delays));
-    }
-    os << "}\n";
+    });
   }
 
   // Partial coverage is reported, not hidden.
   if (!report.stats.complete) {
-    os << '{';
-    json::write_field_key(os, "event", /*first=*/true);
-    json::write_escaped(os, "missing");
-    json::write_field_key(os, "count");
-    json::write_number(os,
-                       static_cast<double>(report.stats.missing_ids.size()));
-    json::write_field_key(os, "ids");
-    json::write_strings(os, report.stats.missing_ids);
-    os << "}\n";
+    write_line(os, [&](json::FieldWriter& v) {
+      v.expect("event", "missing");
+      v("count", report.stats.missing_ids.size());
+      v("ids", report.stats.missing_ids);
+    });
   }
 
   // Every outcome, canonically serialized in job-id order. This is the part

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 
-#include "common/check.h"
-#include "obs/json.h"
-#include "obs/jsonl.h"
 #include "obs/report.h"
 #include "shard/checkpoint.h"
 #include "shard/heartbeat.h"
@@ -41,44 +37,6 @@ std::string label_of(const std::string& name, const std::string& prefix,
     return {};
   return name.substr(prefix.size(),
                      name.size() - prefix.size() - suffix.size());
-}
-
-void write_worker(std::ostream& os, const WorkerStatus& w) {
-  os << '{';
-  json::write_field_key(os, "label", /*first=*/true);
-  json::write_escaped(os, w.label);
-  json::write_field_key(os, "heartbeat_age_s");
-  json::write_number(os, w.heartbeat_age_seconds);
-  json::write_field_key(os, "jobs_done");
-  os << w.jobs_done;
-  json::write_field_key(os, "instance_jobs_done");
-  os << w.instance_jobs_done;
-  json::write_field_key(os, "last_job");
-  json::write_escaped(os, w.last_job);
-  json::write_field_key(os, "last_job_unix_time");
-  json::write_number(os, w.last_job_unix_time);
-  json::write_field_key(os, "current_job");
-  json::write_escaped(os, w.current_job);
-  json::write_field_key(os, "rate_jobs_per_s");
-  json::write_number(os, w.rate_jobs_per_second);
-  json::write_field_key(os, "max_rss_kb");
-  json::write_number(os, w.max_rss_kb);
-  os << '}';
-}
-
-WorkerStatus parse_worker(const json::Fields& f) {
-  WorkerStatus w;
-  w.label = f.string("label");
-  w.heartbeat_age_seconds = f.number("heartbeat_age_s");
-  w.jobs_done = static_cast<std::uint64_t>(f.integer("jobs_done"));
-  w.instance_jobs_done =
-      static_cast<std::uint64_t>(f.integer("instance_jobs_done"));
-  w.last_job = f.string("last_job");
-  w.last_job_unix_time = f.number("last_job_unix_time");
-  w.current_job = f.string("current_job");
-  w.rate_jobs_per_second = f.number("rate_jobs_per_s");
-  w.max_rss_kb = f.number("max_rss_kb");
-  return w;
 }
 
 std::string fmt_eta(double seconds) {
@@ -200,96 +158,11 @@ RunStatus build_status(const Manifest& manifest, const std::string& dir,
 }
 
 std::string serialize_status(const RunStatus& status) {
-  std::ostringstream os;
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  os << "\"status\"";
-  json::write_field_key(os, "name");
-  os << "\"roboads-shard-status\"";
-  json::write_field_key(os, "version");
-  os << 1;
-  json::write_field_key(os, "unix_time");
-  json::write_number(os, status.unix_time);
-  json::write_field_key(os, "jobs");
-  os << status.total_jobs;
-  json::write_field_key(os, "completed");
-  os << status.completed;
-  json::write_field_key(os, "ok");
-  os << status.ok;
-  json::write_field_key(os, "failed");
-  os << status.failed;
-  json::write_field_key(os, "violations");
-  os << status.violations;
-  json::write_field_key(os, "complete");
-  os << (status.complete ? "true" : "false");
-  json::write_field_key(os, "progress");
-  json::write_number(os, status.progress);
-  json::write_field_key(os, "elapsed_s");
-  json::write_number(os, status.elapsed_seconds);
-  json::write_field_key(os, "rate_jobs_per_s");
-  json::write_number(os, status.rate_jobs_per_second);
-  json::write_field_key(os, "eta_s");
-  json::write_number(os, status.eta_seconds);
-  json::write_field_key(os, "launches");
-  os << status.counters.launches;
-  json::write_field_key(os, "crashes");
-  os << status.counters.crashes;
-  json::write_field_key(os, "hangs");
-  os << status.counters.hangs;
-  json::write_field_key(os, "lost_shards");
-  os << status.counters.lost_shards;
-  json::write_field_key(os, "salvage_workers");
-  os << status.counters.salvage_workers;
-  json::write_field_key(os, "slow_job_grants");
-  os << status.counters.slow_job_grants;
-  json::write_field_key(os, "step_latency");
-  obs::write_histogram(os, status.step_latency);
-  json::write_field_key(os, "workers");
-  os << '[';
-  for (std::size_t i = 0; i < status.workers.size(); ++i) {
-    if (i > 0) os << ',';
-    write_worker(os, status.workers[i]);
-  }
-  os << ']';
-  os << '}';
-  return os.str();
+  return json::record_line(status);
 }
 
 RunStatus parse_status(const std::string& line) {
-  const std::string context = "status";
-  json::Fields f(json::parse_object_line(line, context), context);
-  if (f.string("event") != "status" ||
-      f.string("name") != "roboads-shard-status" ||
-      f.integer("version") != 1) {
-    throw CheckError("not a roboads-shard-status v1 snapshot");
-  }
-  RunStatus status;
-  status.unix_time = f.number("unix_time");
-  status.total_jobs = static_cast<std::uint64_t>(f.integer("jobs"));
-  status.completed = static_cast<std::uint64_t>(f.integer("completed"));
-  status.ok = static_cast<std::uint64_t>(f.integer("ok"));
-  status.failed = static_cast<std::uint64_t>(f.integer("failed"));
-  status.violations = static_cast<std::uint64_t>(f.integer("violations"));
-  status.complete = f.boolean("complete");
-  status.progress = f.number("progress");
-  status.elapsed_seconds = f.number("elapsed_s");
-  status.rate_jobs_per_second = f.number("rate_jobs_per_s");
-  status.eta_seconds = f.number("eta_s");
-  status.counters.launches = static_cast<std::uint64_t>(f.integer("launches"));
-  status.counters.crashes = static_cast<std::uint64_t>(f.integer("crashes"));
-  status.counters.hangs = static_cast<std::uint64_t>(f.integer("hangs"));
-  status.counters.lost_shards =
-      static_cast<std::uint64_t>(f.integer("lost_shards"));
-  status.counters.salvage_workers =
-      static_cast<std::uint64_t>(f.integer("salvage_workers"));
-  status.counters.slow_job_grants =
-      static_cast<std::uint64_t>(f.integer("slow_job_grants"));
-  status.step_latency = obs::parse_histogram(json::Fields(
-      f.at("step_latency").members, "status field 'step_latency'"));
-  for (const json::Fields& w : f.objects("workers")) {
-    status.workers.push_back(parse_worker(w));
-  }
-  return status;
+  return json::parse_record<RunStatus>(line, "status");
 }
 
 std::string status_path(const std::string& dir) {
@@ -301,16 +174,10 @@ void write_status_file(const std::string& path, const RunStatus& status) {
 }
 
 RunStatus read_status_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw CheckError(path + ": no status snapshot (is a supervisor running "
-                     "with telemetry on? pass --manifest= to compute one "
-                     "from the checkpoints instead)");
-  }
-  std::string line;
-  ROBOADS_CHECK(static_cast<bool>(std::getline(is, line)),
-                path + ": empty status snapshot");
-  return parse_status(line);
+  return parse_status(json::read_published_line(
+      path, "status snapshot",
+      "is a supervisor running with telemetry on? pass --manifest= to "
+      "compute one from the checkpoints instead"));
 }
 
 std::string render_status(const RunStatus& status) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "shard/manifest.h"
 
@@ -36,6 +37,20 @@ struct WorkerStatus {
   double max_rss_kb = 0.0;
 };
 
+// The JSON fields of status.json (obs/jsonl.h), in line order.
+template <class V>
+void visit_fields(WorkerStatus& w, V& v) {
+  v("label", w.label);
+  v("heartbeat_age_s", w.heartbeat_age_seconds);
+  v("jobs_done", w.jobs_done);
+  v("instance_jobs_done", w.instance_jobs_done);
+  v("last_job", w.last_job);
+  v("last_job_unix_time", w.last_job_unix_time);
+  v("current_job", w.current_job);
+  v("rate_jobs_per_s", w.rate_jobs_per_second);
+  v("max_rss_kb", w.max_rss_kb);
+}
+
 // Counters only the live supervisor knows (zero when a status is built
 // offline from files alone).
 struct SupervisionCounters {
@@ -46,6 +61,17 @@ struct SupervisionCounters {
   std::uint64_t salvage_workers = 0;
   std::uint64_t slow_job_grants = 0;  // watchdog grace periods granted
 };
+
+// Flat in the status line, between the rates and the histogram.
+template <class V>
+void visit_fields(SupervisionCounters& c, V& v) {
+  v("launches", c.launches);
+  v("crashes", c.crashes);
+  v("hangs", c.hangs);
+  v("lost_shards", c.lost_shards);
+  v("salvage_workers", c.salvage_workers);
+  v("slow_job_grants", c.slow_job_grants);
+}
 
 struct RunStatus {
   double unix_time = 0.0;
@@ -70,6 +96,26 @@ struct RunStatus {
   obs::HistogramSnapshot step_latency;
   std::vector<WorkerStatus> workers;  // label order
 };
+
+// A version bump goes with any change here (docs/OBSERVABILITY.md).
+template <class V>
+void visit_fields(RunStatus& s, V& v) {
+  obs::json::schema_tag(v, "status", "roboads-shard-status", 1);
+  v("unix_time", s.unix_time);
+  v("jobs", s.total_jobs);
+  v("completed", s.completed);
+  v("ok", s.ok);
+  v("failed", s.failed);
+  v("violations", s.violations);
+  v("complete", s.complete);
+  v("progress", s.progress);
+  v("elapsed_s", s.elapsed_seconds);
+  v("rate_jobs_per_s", s.rate_jobs_per_second);
+  v("eta_s", s.eta_seconds);
+  visit_fields(s.counters, v);
+  v("step_latency", s.step_latency);
+  v("workers", s.workers);
+}
 
 // A worker whose heartbeat is older than this is excluded from the fleet
 // completion rate (it is dead, stopped, or between retries; counting it

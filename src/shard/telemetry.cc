@@ -4,9 +4,7 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <sstream>
 
-#include "obs/json.h"
 #include "obs/jsonl.h"
 #include "obs/timer.h"
 #include "shard/heartbeat.h"
@@ -18,18 +16,11 @@ namespace {
 namespace json = obs::json;
 namespace fs = std::filesystem;
 
-constexpr char kTelemetryName[] = "roboads-shard-telemetry";
-
-void write_telemetry_header(std::ostream& os) {
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  os << "\"telemetry-header\"";
-  json::write_field_key(os, "name");
-  os << '"' << kTelemetryName << '"';
-  json::write_field_key(os, "version");
-  os << 1;
-  os << "}\n";
-  os.flush();
+// The stream's first line; a version bump goes with any change to the
+// record's fields.
+template <class V>
+void visit_header(V& v) {
+  json::schema_tag(v, "telemetry-header", "roboads-shard-telemetry", 1);
 }
 
 double monotonic_seconds() { return 1e-9 * obs::monotonic_ns(); }
@@ -37,88 +28,12 @@ double monotonic_seconds() { return 1e-9 * obs::monotonic_ns(); }
 }  // namespace
 
 std::string serialize_telemetry(const TelemetryRecord& record) {
-  std::ostringstream os;
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  os << "\"telemetry\"";
-  json::write_field_key(os, "label");
-  json::write_escaped(os, record.label);
-  json::write_field_key(os, "instance");
-  os << record.instance;
-  json::write_field_key(os, "seq");
-  os << record.seq;
-  json::write_field_key(os, "unix_time");
-  json::write_number(os, record.unix_time);
-  json::write_field_key(os, "elapsed_s");
-  json::write_number(os, record.elapsed_seconds);
-  json::write_field_key(os, "jobs_assigned");
-  os << record.jobs_assigned;
-  json::write_field_key(os, "jobs_done");
-  os << record.jobs_done;
-  json::write_field_key(os, "groups");
-  os << '[';
-  bool first_group = true;
-  for (const auto& [name, tally] : record.groups) {
-    if (!first_group) os << ',';
-    first_group = false;
-    os << '{';
-    json::write_field_key(os, "group", /*first=*/true);
-    json::write_escaped(os, name);
-    json::write_field_key(os, "done");
-    os << tally.done;
-    json::write_field_key(os, "ok");
-    os << tally.ok;
-    json::write_field_key(os, "failed");
-    os << tally.failed;
-    json::write_field_key(os, "violations");
-    os << tally.violations;
-    json::write_field_key(os, "alarms");
-    os << tally.alarms;
-    os << '}';
-  }
-  os << ']';
-  json::write_field_key(os, "step_latency");
-  obs::write_histogram(os, record.step_latency);
-  json::write_field_key(os, "max_rss_kb");
-  json::write_number(os, record.max_rss_kb);
-  json::write_field_key(os, "user_s");
-  json::write_number(os, record.user_seconds);
-  json::write_field_key(os, "system_s");
-  json::write_number(os, record.system_seconds);
-  os << '}';
-  return os.str();
+  return json::record_line(record);
 }
 
 TelemetryRecord parse_telemetry(const std::string& line, std::size_t line_no) {
-  const std::string context = "telemetry line " + std::to_string(line_no);
-  json::Fields f(json::parse_object_line(line, context), context);
-  if (f.string("event") != "telemetry") {
-    throw ManifestError(context + ": expected a telemetry line");
-  }
-  TelemetryRecord out;
-  out.label = f.string("label");
-  out.instance = f.integer("instance");
-  out.seq = static_cast<std::uint64_t>(f.integer("seq"));
-  out.unix_time = f.number("unix_time");
-  out.elapsed_seconds = f.number("elapsed_s");
-  out.jobs_assigned = static_cast<std::uint64_t>(f.integer("jobs_assigned"));
-  out.jobs_done = static_cast<std::uint64_t>(f.integer("jobs_done"));
-  for (const json::Fields& g : f.objects("groups")) {
-    TelemetryGroupTally tally;
-    tally.done = static_cast<std::uint64_t>(g.integer("done"));
-    tally.ok = static_cast<std::uint64_t>(g.integer("ok"));
-    tally.failed = static_cast<std::uint64_t>(g.integer("failed"));
-    tally.violations = static_cast<std::uint64_t>(g.integer("violations"));
-    tally.alarms = static_cast<std::uint64_t>(g.integer("alarms"));
-    out.groups.emplace(g.string("group"), tally);
-  }
-  out.step_latency = obs::parse_histogram(
-      json::Fields(f.at("step_latency").members,
-                   context + " field 'step_latency'"));
-  out.max_rss_kb = f.number("max_rss_kb");
-  out.user_seconds = f.number("user_s");
-  out.system_seconds = f.number("system_s");
-  return out;
+  return json::parse_record<TelemetryRecord>(
+      line, "telemetry line " + std::to_string(line_no));
 }
 
 std::vector<TelemetryRecord> read_telemetry_file(const std::string& path,
@@ -131,12 +46,9 @@ std::vector<TelemetryRecord> read_telemetry_file(const std::string& path,
         if (!saw_header) {
           const std::string context =
               "telemetry line " + std::to_string(line_no);
-          json::Fields f(json::parse_object_line(line, context), context);
-          if (f.string("event") != "telemetry-header" ||
-              f.string("name") != kTelemetryName ||
-              f.integer("version") != 1) {
-            throw ManifestError(context + ": not a telemetry header");
-          }
+          json::read_object(
+              json::Fields(json::parse_object_line(line, context), context),
+              [](json::FieldReader& v) { visit_header(v); });
           saw_header = true;
         } else {
           records.push_back(parse_telemetry(line, line_no));
@@ -166,7 +78,11 @@ TelemetryStream::TelemetryStream(const std::string& dir,
   const bool fresh = !fs::exists(path) || fs::file_size(path) == 0;
   os_.open(path, fresh ? std::ios::binary : std::ios::binary | std::ios::app);
   if (!os_) return;  // telemetry is best-effort: never fail the worker
-  if (fresh) write_telemetry_header(os_);
+  if (fresh) {
+    json::write_object(os_, [](json::FieldWriter& v) { visit_header(v); });
+    os_ << '\n';
+    os_.flush();
+  }
   enabled_ = true;
   started_monotonic_ = monotonic_seconds();
   last_append_monotonic_ = started_monotonic_;

@@ -38,6 +38,16 @@ struct TelemetryGroupTally {
   std::uint64_t alarms = 0;  // jobs with any sensor/actuator positive
 };
 
+// The JSON fields of telemetry record lines (obs/jsonl.h), in line order.
+template <class V>
+void visit_fields(TelemetryGroupTally& t, V& v) {
+  v("done", t.done);
+  v("ok", t.ok);
+  v("failed", t.failed);
+  v("violations", t.violations);
+  v("alarms", t.alarms);
+}
+
 struct TelemetryRecord {
   std::string label;          // worker label (s0, v1-2)
   std::int64_t instance = 0;  // pid of the writing worker instance
@@ -58,6 +68,23 @@ struct TelemetryRecord {
     return elapsed_seconds > 0.0 ? jobs_done / elapsed_seconds : 0.0;
   }
 };
+
+template <class V>
+void visit_fields(TelemetryRecord& r, V& v) {
+  v.expect("event", "telemetry");
+  v("label", r.label);
+  v("instance", r.instance);
+  v("seq", r.seq);
+  v("unix_time", r.unix_time);
+  v("elapsed_s", r.elapsed_seconds);
+  v("jobs_assigned", r.jobs_assigned);
+  v("jobs_done", r.jobs_done);
+  v("groups", r.groups, "group");
+  v("step_latency", r.step_latency);
+  v("max_rss_kb", r.max_rss_kb);
+  v("user_s", r.user_seconds);
+  v("system_s", r.system_seconds);
+}
 
 std::string serialize_telemetry(const TelemetryRecord& record);
 TelemetryRecord parse_telemetry(const std::string& line, std::size_t line_no);
