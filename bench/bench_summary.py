@@ -1,44 +1,41 @@
 #!/usr/bin/env python3
-"""Reduces google-benchmark JSON output to the compact BENCH_PERF.json map.
+"""The perf gate of ./ci.sh bench: one snapshot against one baseline.
 
-Usage: bench_summary.py <benchmark_json_in>... <summary_json_out>
-           [--build-type=TYPE] [--cxx-flags=FLAGS]
-           [--require-build-type=TYPE]
-           [--baseline=FILE] [--max-regress=FRACTION]
+Usage: bench_summary.py <perf_nuise_json>... <perfbench_out> <snapshot_out>
+           --build-type=TYPE --cxx-flags=FLAGS --baseline=FILE
 
-All positional arguments but the last are benchmark JSON inputs (perf_nuise,
-fleet_throughput, ...); their benchmark lists merge into one summary, so one
-BENCH_PERF.json gates every runtime benchmark. Duplicate benchmark names
-across inputs are an error — each binary must own its namespace.
+Each <perf_nuise_json> is google-benchmark JSON from one bench/perf_nuise
+run with randomly interleaved repetitions. Each benchmark becomes a row
+holding the real and CPU time in nanoseconds of its fastest repetition in
+any of the files: on a shared host interference only adds time, so the
+fastest of several repetitions, spread over the gate, is the steadiest
+estimate, and a real slowdown raises it too.
 
-The summary holds one entry per benchmark: real time in nanoseconds, plus the
-iteration count the number was averaged over. Counters (modes, threads, and
-the fleet throughput/latency figures) are carried through when present so
-the rows stay self-describing.
+<perfbench_out> is the stdout of `perfbench/run.py --workload fleet-stream`.
+Its last line is perfbench's JSON result, which becomes the row
+"perfbench/fleet-stream": throughput_per_s counts full detector steps per
+second, and every output of the run was checked against perfbench's
+oracles. A result with "correct": false is refused (exit 1).
 
---build-type / --cxx-flags record the *project's* compiler settings (from the
-bench tree's CMakeCache) in the summary context — google-benchmark's own
-`library_build_type` only describes how the benchmark library was built, not
-this project. --require-build-type makes a mismatch a hard error so a perf
-snapshot accidentally taken from a debug-ish tree can never land in
-BENCH_PERF.json.
+The build type must be Release (exit 1 otherwise). The build type, the
+compiler flags, the CPU model and the usable CPU count (`nproc`) form the
+fingerprint recorded in the snapshot's context.
 
---baseline compares the fresh numbers against a previous summary (normally
-the checked-in BENCH_PERF.json) *before* writing anything: any benchmark
-whose real_time_ns grew by more than --max-regress (default 0.15 = 15%)
-fails the run and leaves the baseline file untouched, so ./ci.sh bench
-gates cross-PR hot-path regressions. Benchmarks missing from the baseline
-(newly added) pass; a missing or unreadable baseline file is skipped with a
-note (first snapshot of a fresh checkout). Comparisons only run when the
-baseline was recorded with identical build type and flags *and* on the same
-host (CPU model from /proc/cpuinfo plus the usable CPU count, both recorded
-in the summary context) — numbers from a different compiler configuration
-or machine are noise, not a regression. A mismatch prints both sides,
-skips the gate and re-baselines.
+The snapshot is written to <snapshot_out>, which must not be the baseline:
+no run rewrites the baseline. When the baseline's fingerprint equals the
+snapshot's, every row is compared. A kernel whose real_time_ns grew, or the
+fleet-stream row whose time per step (1 / throughput_per_s) grew, by more
+than 15% fails the run (exit 1), and so does a row that only one side has.
+When the fingerprints differ, or there is no baseline, nothing is compared:
+both fingerprints are printed with the `cp` command that adopts the
+snapshot as the baseline, and the run passes.
 """
 import json
 import os
 import sys
+
+FLEET_ROW = "perfbench/fleet-stream"
+MAX_REGRESS = 0.15
 
 
 def host_fingerprint() -> dict:
@@ -53,157 +50,153 @@ def host_fingerprint() -> dict:
             "nproc": len(os.sched_getaffinity(0))}
 
 
+def fingerprint(context: dict) -> dict:
+    return {k: context.get(k)
+            for k in ("cpu_model", "nproc", "build_type", "cxx_flags")}
+
+
+def kernel_rows(raws: list) -> dict:
+    """Each benchmark's fastest repetition (aggregates are skipped)."""
+    runs = {}
+    for b in (b for raw in raws for b in raw.get("benchmarks", [])):
+        if b.get("run_type") != "aggregate":
+            runs.setdefault(b.get("run_name", b["name"]), []).append(b)
+    rows = {}
+    for name, reps in runs.items():
+        b = min(reps, key=lambda rep: rep["real_time"])
+        rows[name] = {
+            "real_time_ns": round(b["real_time"], 1),
+            "cpu_time_ns": round(b["cpu_time"], 1),
+            "iterations": b["iterations"],
+            "repetitions": len(reps),
+        }
+        for counter in ("modes", "threads"):
+            if counter in b:
+                rows[name][counter] = b[counter]
+    return rows
+
+
+def fleet_row(path: str) -> dict:
+    """The fleet-stream row; raises ValueError on a refused result."""
+    with open(path) as f:
+        lines = [line for line in f.read().splitlines() if line.strip()]
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise ValueError(f"{path} does not end in perfbench's JSON result")
+    if result.get("correct") is not True:
+        raise ValueError(
+            f"perfbench fleet-stream failed its oracles ({result.get('failed')}"
+            f" of {result.get('attempted')} frames failed); its throughput "
+            f"is not a capacity")
+    metrics = result["metrics"]
+    row = {name: metrics[name]["value"]
+           for name in ("throughput_per_s", "setup_s", "peak_rss_mb")}
+    row["attempted"] = result["attempted"]
+    return row
+
+
+def slowdown(row: dict, base: dict) -> float:
+    """How much longer one operation of `row` takes than of `base`."""
+    if "throughput_per_s" in base:
+        rate = row["throughput_per_s"]
+        return base["throughput_per_s"] / rate if rate > 0 else float("inf")
+    return row["real_time_ns"] / base["real_time_ns"]
+
+
+def compare(snapshot: dict, baseline: dict) -> int:
+    """Prints every row against the baseline; returns how many fail."""
+    failures = 0
+    rows = snapshot["benchmarks"]
+    base_rows = baseline.get("benchmarks", {})
+    for name in sorted(rows.keys() | base_rows.keys()):
+        row, base = rows.get(name), base_rows.get(name)
+        if row is None or base is None:
+            failed = True
+            verdict = "not in this run" if row is None else "not in the baseline"
+        else:
+            ratio = slowdown(row, base)
+            failed = ratio > 1.0 + MAX_REGRESS
+            verdict = f"{ratio:.3f}x the baseline's time per operation"
+        failures += failed
+        print(f"  {'FAIL' if failed else 'ok  '} {name}: {verdict}")
+    return failures
+
+
 def main() -> int:
     positional = []
-    build_type = ""
-    cxx_flags = ""
-    require_build_type = ""
-    baseline_path = ""
-    max_regress = 0.15
+    flags = {"build-type": None, "cxx-flags": None, "baseline": None}
     for arg in sys.argv[1:]:
-        if arg.startswith("--build-type="):
-            build_type = arg[len("--build-type="):]
-        elif arg.startswith("--cxx-flags="):
-            cxx_flags = arg[len("--cxx-flags="):]
-        elif arg.startswith("--require-build-type="):
-            require_build_type = arg[len("--require-build-type="):]
-        elif arg.startswith("--baseline="):
-            baseline_path = arg[len("--baseline="):]
-        elif arg.startswith("--max-regress="):
-            try:
-                max_regress = float(arg[len("--max-regress="):])
-            except ValueError:
-                print(f"bench_summary: bad --max-regress in {arg}",
-                      file=sys.stderr)
-                return 2
-            if max_regress <= 0:
-                print("bench_summary: --max-regress must be positive",
-                      file=sys.stderr)
-                return 2
-        elif arg.startswith("--"):
+        key, _, value = arg[2:].partition("=")
+        if not arg.startswith("--"):
+            positional.append(arg)
+        elif key in flags and "=" in arg:
+            flags[key] = value
+        else:
             print(f"bench_summary: unknown flag {arg}", file=sys.stderr)
             return 2
-        else:
-            positional.append(arg)
-    if len(positional) < 2:
+    if len(positional) < 3 or None in flags.values():
         print(__doc__, file=sys.stderr)
         return 2
+    *kernel_paths, fleet_path, out_path = positional
+    baseline_path = flags["baseline"]
 
-    if require_build_type and build_type != require_build_type:
-        print(
-            f"bench_summary: refusing to record a perf snapshot from a "
-            f"'{build_type or 'unknown'}' build; expected "
-            f"'{require_build_type}'. Configure the bench tree with "
-            f"-DCMAKE_BUILD_TYPE={require_build_type} (see ci.sh run_bench).",
-            file=sys.stderr,
-        )
+    if flags["build-type"] != "Release":
+        print(f"bench_summary: refusing a perf snapshot from a "
+              f"'{flags['build-type'] or 'unknown'}' build; configure the "
+              f"bench tree with -DCMAKE_BUILD_TYPE=Release (ci.sh run_bench)",
+              file=sys.stderr)
         return 1
+    if os.path.abspath(out_path) == os.path.abspath(baseline_path):
+        print("bench_summary: the snapshot must not overwrite the baseline",
+              file=sys.stderr)
+        return 2
 
-    inputs = positional[:-1]
     raws = []
-    for path in inputs:
+    for path in kernel_paths:
         with open(path) as f:
             raws.append(json.load(f))
-
-    # Context comes from the first input; every input ran in the same bench
-    # tree (ci.sh run_bench), so the machine facts agree.
-    first_ctx = raws[0].get("context", {})
-    host = host_fingerprint()
-    summary = {
+    try:
+        fleet = fleet_row(fleet_path)
+    except ValueError as e:
+        print(f"bench_summary: {e}", file=sys.stderr)
+        return 1
+    snapshot = {
         "context": {
-            **host,
-            "date": first_ctx.get("date", ""),
-            "num_cpus": first_ctx.get("num_cpus", 0),
-            "build_type": build_type,
-            "cxx_flags": cxx_flags,
-            "library_build_type": first_ctx.get("library_build_type", ""),
+            **host_fingerprint(),
+            "build_type": flags["build-type"],
+            "cxx_flags": flags["cxx-flags"],
+            "date": raws[0].get("context", {}).get("date", ""),
         },
-        "benchmarks": {},
+        "benchmarks": {**kernel_rows(raws), FLEET_ROW: fleet},
     }
-    counters = (
-        "modes", "threads", "missions",
-        # fleet_throughput (docs/FLEET.md)
-        "robots", "shards", "hz", "steps", "steps_per_s", "dropped_packets",
-        "p50_ingest_to_step_ns", "p99_ingest_to_step_ns",
-        "p50_ingest_to_alarm_ns", "p99_ingest_to_alarm_ns",
-    )
-    for path, raw in zip(inputs, raws):
-        for b in raw.get("benchmarks", []):
-            if b["name"] in summary["benchmarks"]:
-                print(f"bench_summary: duplicate benchmark {b['name']} "
-                      f"in {path}", file=sys.stderr)
-                return 2
-            entry = {
-                "real_time_ns": round(b["real_time"], 1),
-                "cpu_time_ns": round(b["cpu_time"], 1),
-                "iterations": b["iterations"],
-            }
-            for counter in counters:
-                if counter in b:
-                    entry[counter] = b[counter]
-            summary["benchmarks"][b["name"]] = entry
-
-    # Gate against the baseline before touching the output file: summary and
-    # baseline are usually the same path, and a failed gate must leave the
-    # old numbers in place for the next comparison.
-    if baseline_path:
-        if not os.path.exists(baseline_path):
-            print(f"bench_summary: no baseline at {baseline_path}, "
-                  f"recording a first snapshot")
-        else:
-            with open(baseline_path) as f:
-                baseline = json.load(f)
-            base_ctx = baseline.get("context", {})
-            base_host = {k: base_ctx.get(k) for k in host}
-            if (base_ctx.get("build_type", "") != build_type
-                    or base_ctx.get("cxx_flags", "") != cxx_flags):
-                print(
-                    f"bench_summary: baseline {baseline_path} was recorded "
-                    f"with different compiler settings; skipping the "
-                    f"regression gate and re-baselining")
-            elif base_host != host:
-                print(
-                    f"bench_summary: baseline {baseline_path} was recorded "
-                    f"on host {base_host}, this run is on {host}; skipping "
-                    f"the regression gate and re-baselining")
-            else:
-                regressions = []
-                for name, entry in summary["benchmarks"].items():
-                    base = baseline.get("benchmarks", {}).get(name)
-                    if not base or base.get("real_time_ns", 0) <= 0:
-                        continue
-                    ratio = entry["real_time_ns"] / base["real_time_ns"]
-                    if ratio > 1.0 + max_regress:
-                        regressions.append((name, base["real_time_ns"],
-                                            entry["real_time_ns"], ratio))
-                if regressions:
-                    print(
-                        f"bench_summary: hot-path regression(s) beyond "
-                        f"{max_regress:.0%} vs {baseline_path}:",
-                        file=sys.stderr,
-                    )
-                    for name, old, new, ratio in regressions:
-                        print(
-                            f"  {name}: {old:.1f} ns -> {new:.1f} ns "
-                            f"({ratio - 1.0:+.1%})",
-                            file=sys.stderr,
-                        )
-                    print(
-                        "bench_summary: baseline left untouched; fix the "
-                        "regression or re-baseline deliberately by running "
-                        "without --baseline.",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print(
-                    f"bench_summary: {len(summary['benchmarks'])} benchmarks "
-                    f"within {max_regress:.0%} of {baseline_path}")
-
-    with open(positional[-1], "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+    with open(out_path, "w") as f:
+        json.dump(snapshot, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"bench_summary: wrote {len(summary['benchmarks'])} entries "
-          f"to {positional[-1]}")
+    print(f"bench_summary: wrote {len(snapshot['benchmarks'])} rows to "
+          f"{out_path}")
+
+    adopt = f"cp {out_path} {baseline_path}"
+    if not os.path.exists(baseline_path):
+        print(f"bench_summary: no baseline at {baseline_path}; nothing "
+              f"compared. To adopt this snapshot: {adopt}")
+        return 0
+    with open(baseline_path) as f:
+        baseline = json.load(f)
+    mine = fingerprint(snapshot["context"])
+    theirs = fingerprint(baseline.get("context", {}))
+    if mine != theirs:
+        print(f"bench_summary: {baseline_path} was recorded on "
+              f"{json.dumps(theirs)}\nbench_summary: this run is on "
+              f"{json.dumps(mine)}\nbench_summary: nothing compared. To "
+              f"adopt this snapshot as the baseline: {adopt}")
+        return 0
+    if compare(snapshot, baseline):
+        print(f"bench_summary: beyond {MAX_REGRESS:.0%} of {baseline_path}, "
+              f"which is left untouched", file=sys.stderr)
+        return 1
+    print(f"bench_summary: {len(snapshot['benchmarks'])} rows within "
+          f"{MAX_REGRESS:.0%} of {baseline_path}")
     return 0
 
 

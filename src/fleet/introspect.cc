@@ -85,9 +85,11 @@ std::string render_fleet_status(const FleetStatusSnapshot& status) {
                 static_cast<unsigned long long>(status.seq));
   os << line;
   std::snprintf(line, sizeof(line),
-                "steps    %llu (sensor alarms %llu, actuator alarms %llu, "
-                "quarantine %llu)\n",
+                "steps    %llu (masked %llu, forced %llu; sensor alarms %llu, "
+                "actuator alarms %llu, quarantine %llu)\n",
                 static_cast<unsigned long long>(status.steps),
+                static_cast<unsigned long long>(status.masked_steps),
+                static_cast<unsigned long long>(status.forced_evictions),
                 static_cast<unsigned long long>(status.sensor_alarms),
                 static_cast<unsigned long long>(status.actuator_alarms),
                 static_cast<unsigned long long>(status.quarantine_iterations));
@@ -121,10 +123,13 @@ std::string render_fleet_status(const FleetStatusSnapshot& status) {
   os << "-- shards --\n";
   for (const ShardStat& s : status.shards) {
     std::snprintf(line, sizeof(line),
-                  "  %2zu  sess %-4llu steps %-8llu drop %-5llu fwd %-4llu "
-                  "depth %-4zu hw %-4zu pend %-4llu rate %7.1f/s p99<=%s\n",
+                  "  %2zu  sess %-4llu steps %-8llu mask %-5llu forced %-4llu "
+                  "drop %-5llu fwd %-4llu depth %-4zu hw %-4zu pend %-4llu "
+                  "rate %7.1f/s p99<=%s\n",
                   s.shard, static_cast<unsigned long long>(s.sessions),
                   static_cast<unsigned long long>(s.steps),
+                  static_cast<unsigned long long>(s.masked_steps),
+                  static_cast<unsigned long long>(s.forced_evictions),
                   static_cast<unsigned long long>(s.dropped_packets),
                   static_cast<unsigned long long>(s.forwarded_packets),
                   s.queue_depth, s.queue_high_water,

@@ -59,6 +59,9 @@ struct ShardStat {
   std::uint64_t sensor_alarms = 0;
   std::uint64_t actuator_alarms = 0;
   std::uint64_t quarantine_iterations = 0;
+  // Summed over the session counters of the robots the shard holds now.
+  std::uint64_t masked_steps = 0;
+  std::uint64_t forced_evictions = 0;
   std::uint64_t dropped_packets = 0;
   std::uint64_t forwarded_packets = 0;
   std::size_t queue_depth = 0;       // approximate, at snapshot time
@@ -79,6 +82,8 @@ void visit_fields(ShardStat& s, V& v) {
   v("sensor_alarms", s.sensor_alarms);
   v("actuator_alarms", s.actuator_alarms);
   v("quarantine_iterations", s.quarantine_iterations);
+  v("masked_steps", s.masked_steps);
+  v("forced_evictions", s.forced_evictions);
   v("dropped_packets", s.dropped_packets);
   v("forwarded_packets", s.forwarded_packets);
   v("queue_depth", s.queue_depth);
@@ -177,6 +182,8 @@ struct FleetStatusSnapshot {
   std::uint64_t sensor_alarms = 0;
   std::uint64_t actuator_alarms = 0;
   std::uint64_t quarantine_iterations = 0;
+  std::uint64_t masked_steps = 0;      // sum of the shard rows
+  std::uint64_t forced_evictions = 0;  // sum of the shard rows
   std::uint64_t dropped_packets = 0;
   std::uint64_t forwarded_packets = 0;
   std::uint64_t unknown_robot_packets = 0;
@@ -195,7 +202,7 @@ struct FleetStatusSnapshot {
 // A version bump goes with any change here (docs/OBSERVABILITY.md).
 template <class V>
 void visit_fields(FleetStatusSnapshot& s, V& v) {
-  obs::json::schema_tag(v, "fleet_status", "roboads-fleet-status", 1);
+  obs::json::schema_tag(v, "fleet_status", "roboads-fleet-status", 2);
   v("unix_time", s.unix_time);
   v("seq", s.seq);
   v("robots", s.robots);
@@ -203,6 +210,8 @@ void visit_fields(FleetStatusSnapshot& s, V& v) {
   v("sensor_alarms", s.sensor_alarms);
   v("actuator_alarms", s.actuator_alarms);
   v("quarantine_iterations", s.quarantine_iterations);
+  v("masked_steps", s.masked_steps);
+  v("forced_evictions", s.forced_evictions);
   v("dropped_packets", s.dropped_packets);
   v("forwarded_packets", s.forwarded_packets);
   v("unknown_robot_packets", s.unknown_robot_packets);
@@ -233,7 +242,7 @@ FleetStatusSnapshot parse_fleet_status(const std::string& line);
 // Atomic publish: write <path>.tmp, rename over <path>.
 void write_fleet_status_file(const std::string& path,
                              const FleetStatusSnapshot& status);
-// Throws CheckError when missing/unreadable/not a v1 snapshot.
+// Throws CheckError when missing/unreadable/not a v2 snapshot.
 FleetStatusSnapshot read_fleet_status_file(const std::string& path);
 
 // The `roboads_fleet top` terminal frame: fleet totals, shard table,

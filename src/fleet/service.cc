@@ -430,6 +430,8 @@ FleetStatusSnapshot FleetService::build_introspection() {
       r.masked_steps = c.masked_steps;
       r.command_substituted = c.command_substituted;
       r.reorder_pending = session->pending_frames();
+      row.masked_steps += c.masked_steps;
+      row.forced_evictions += c.forced_evictions;
       r.ewma_step_latency_ns = robot_scratch_[robot].ewma_latency_ns;
       r.traced = session->span_tracing();
       pending += r.reorder_pending;
@@ -473,6 +475,8 @@ FleetStatusSnapshot FleetService::build_introspection() {
     out.sensor_alarms += row.sensor_alarms;
     out.actuator_alarms += row.actuator_alarms;
     out.quarantine_iterations += row.quarantine_iterations;
+    out.masked_steps += row.masked_steps;
+    out.forced_evictions += row.forced_evictions;
     out.dropped_packets += row.dropped_packets;
     out.forwarded_packets += row.forwarded_packets;
     step_parts.push_back(row.ingest_to_step_ns);

@@ -1,5 +1,6 @@
 #include "shard/manifest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,12 @@ constexpr char kManifestName[] = "roboads-shard-manifest";
 
 [[noreturn]] void manifest_error(std::size_t line, const std::string& what) {
   throw ManifestError("manifest line " + std::to_string(line) + ": " + what);
+}
+
+// At most one shard per job (parse_manifest's bound), so job i of a small
+// campaign still lands on shard i.
+std::size_t shard_count(std::size_t requested, std::size_t jobs) {
+  return std::min(requested, std::max<std::size_t>(1, jobs));
 }
 
 JobKind kind_from(const std::string& word, std::size_t line) {
@@ -115,6 +122,14 @@ Manifest parse_manifest_impl(const std::string& text) {
       json::FieldReader header(f);
       visit_header(manifest.shards, declared_jobs, header);
       if (manifest.shards == 0) manifest_error(num, "shards must be >= 1");
+      // The supervisor sizes its worker slots from this number, and a shard
+      // beyond the job count would never get a job.
+      if (shard_count(manifest.shards, declared_jobs) != manifest.shards) {
+        manifest_error(num, std::to_string(manifest.shards) +
+                                " shards for " +
+                                std::to_string(declared_jobs) +
+                                " jobs; at most one shard per job");
+      }
       saw_header = true;
       continue;
     }
@@ -183,17 +198,17 @@ Manifest read_manifest_file(const std::string& path) {
 Manifest table2_manifest(const std::vector<std::uint64_t>& seeds,
                          std::size_t shards, std::size_t iterations) {
   Manifest manifest;
-  manifest.shards = shards;
   const std::vector<scenario::ScenarioSpec> specs =
       scenario::khepera_table2_specs();
+  manifest.shards = shard_count(shards, seeds.size() * specs.size());
   std::size_t i = 0;
   for (std::uint64_t seed : seeds) {
     for (std::size_t n = 1; n <= specs.size(); ++n) {
       ManifestJob job;
-      char id[16];
+      char id[24];
       std::snprintf(id, sizeof(id), "j%05zu", i);
       job.id = id;
-      job.shard = i % shards;
+      job.shard = i % manifest.shards;
       job.kind = JobKind::kLibrary;
       job.group = "seed-" + std::to_string(seed);
       // The bench/seed_robustness convention: each scenario of a
@@ -211,13 +226,13 @@ Manifest table2_manifest(const std::vector<std::uint64_t>& seeds,
 Manifest fuzz_manifest(const scenario::FuzzConfig& config,
                        std::size_t shards) {
   Manifest manifest;
-  manifest.shards = shards;
+  manifest.shards = shard_count(shards, config.campaigns);
   for (std::size_t i = 0; i < config.campaigns; ++i) {
     ManifestJob job;
-    char id[16];
+    char id[24];
     std::snprintf(id, sizeof(id), "j%05zu", i);
     job.id = id;
-    job.shard = i % shards;
+    job.shard = i % manifest.shards;
     job.kind = JobKind::kFuzz;
     job.group = "fuzz";
     job.fuzz_seed = config.seed;

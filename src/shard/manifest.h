@@ -76,8 +76,8 @@ struct Manifest {
 std::string serialize(const Manifest& manifest);
 
 // Parses the JSONL form; throws ManifestError with a line number on
-// malformed input, unknown kinds, duplicate or empty ids, or a shard
-// assignment outside [0, shards).
+// malformed input, unknown kinds, duplicate or empty ids, more shards than
+// max(1, declared jobs), or a shard assignment outside [0, shards).
 Manifest parse_manifest(const std::string& text);
 
 void write_manifest_file(const std::string& path, const Manifest& manifest);
@@ -86,7 +86,8 @@ Manifest read_manifest_file(const std::string& path);
 // --- Manifest builders (tools/roboads_shard gen-*) ------------------------
 
 // Jobs assigned round-robin: job i goes to shard i % shards, so neighboring
-// (usually similar-cost) jobs spread evenly.
+// (usually similar-cost) jobs spread evenly. `shards` is clamped to the job
+// count (at least 1), so every built manifest parses.
 
 // The Table II battery replicated across `seeds` independent seeds: 11
 // library jobs per seed, mission seed = seed*1000 + scenario number (the

@@ -55,6 +55,8 @@ FleetStatusSnapshot synthetic_snapshot() {
   s.sensor_alarms = 11;
   s.actuator_alarms = 4;
   s.quarantine_iterations = 2;
+  s.masked_steps = 6;
+  s.forced_evictions = 1;
   s.dropped_packets = 5;
   s.forwarded_packets = 1;
   s.unknown_robot_packets = 9;
@@ -70,6 +72,8 @@ FleetStatusSnapshot synthetic_snapshot() {
     sh.sensor_alarms = i;
     sh.actuator_alarms = 2 * i;
     sh.quarantine_iterations = i;
+    sh.masked_steps = 2 + 2 * i;
+    sh.forced_evictions = i;
     sh.dropped_packets = 3 * i;
     sh.forwarded_packets = i;
     sh.queue_depth = 4 + i;
@@ -133,6 +137,10 @@ TEST(FleetIntrospect, ParseRecoversEveryField) {
   EXPECT_EQ(p.spans, s.spans);
   ASSERT_EQ(p.shards.size(), s.shards.size());
   EXPECT_EQ(p.shards[1].queue_high_water, s.shards[1].queue_high_water);
+  EXPECT_EQ(p.masked_steps, s.masked_steps);
+  EXPECT_EQ(p.forced_evictions, s.forced_evictions);
+  EXPECT_EQ(p.shards[1].masked_steps, s.shards[1].masked_steps);
+  EXPECT_EQ(p.shards[1].forced_evictions, s.shards[1].forced_evictions);
   EXPECT_EQ(hist_line(p.shards[1].ingest_to_step_ns),
             hist_line(s.shards[1].ingest_to_step_ns));
   ASSERT_EQ(p.hot_robots.size(), 1u);
@@ -392,6 +400,54 @@ TEST(FleetIntrospect, EndToEndSnapshotWithEveryKnobOn) {
   EXPECT_NE(frame.find("shard"), std::string::npos);
   EXPECT_NE(frame.find("robot"), std::string::npos);
   EXPECT_NE(frame.find("alarm"), std::string::npos);
+}
+
+TEST(FleetIntrospect, ShardRowsCountMaskedAndForcedSteps) {
+  // Robot 1 sends iteration 1 without its command, then one packet of
+  // iteration 8: the reorder window (4) force-steps frames 1..4, and the
+  // three dark ones step masked. Robot 0 streams cleanly on the other
+  // shard. The rows and totals carry exactly the sessions' counts.
+  const Fixture fx(2, 20);
+  const std::string status_path =
+      ::testing::TempDir() + "fleet_introspect_masked.json";
+  FleetConfig config;
+  config.shards = 2;
+  config.introspect.status_path = status_path;
+  config.introspect.status_interval_s = 0.0;
+  FleetService fleet(config);
+  for (std::size_t r = 0; r < fx.missions.size(); ++r) fleet.add_robot(fx.spec);
+  ASSERT_NE(fleet.shard_of(0), fleet.shard_of(1));
+
+  const sensors::SensorSuite& suite = fx.platform.suite();
+  std::vector<FleetPacket> first, eighth;
+  append_iteration_packets(first, 1, suite, fx.missions[1].records.front());
+  append_iteration_packets(eighth, 1, suite, fx.missions[1].records[7]);
+  for (FleetPacket& p : first) {
+    if (p.packet.kind != bus::PacketKind::kControlCommand) {
+      fleet.submit(std::move(p));
+    }
+  }
+  fleet.submit(std::move(eighth.front()));
+  for (FleetPacket& p : mission_packets(0, suite, fx.missions[0])) {
+    fleet.submit(std::move(p));
+  }
+  fleet.drain();
+  fleet.publish_status_now();
+
+  const SessionCounters& dark = fleet.session_counters(1);
+  ASSERT_EQ(dark.forced_evictions, 4u);
+  ASSERT_EQ(dark.masked_steps, 3u);
+  EXPECT_EQ(fleet.session_counters(0).masked_steps, 0u);
+  const FleetStatusSnapshot status = read_fleet_status_file(status_path);
+  ASSERT_EQ(status.shards.size(), 2u);
+  const ShardStat& hit = status.shards[fleet.shard_of(1)];
+  const ShardStat& clean = status.shards[fleet.shard_of(0)];
+  EXPECT_EQ(hit.masked_steps, 3u);
+  EXPECT_EQ(hit.forced_evictions, 4u);
+  EXPECT_EQ(clean.masked_steps, 0u);
+  EXPECT_EQ(clean.forced_evictions, 0u);
+  EXPECT_EQ(status.masked_steps, 3u);
+  EXPECT_EQ(status.forced_evictions, 4u);
 }
 
 TEST(FleetIntrospect, PublishSequenceAdvancesAndRatesAppear) {

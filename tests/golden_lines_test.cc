@@ -200,6 +200,8 @@ TEST_F(GoldenLines, FleetStatus) {
   s.sensor_alarms = 11;
   s.actuator_alarms = 4;
   s.quarantine_iterations = 2;
+  s.masked_steps = 13;
+  s.forced_evictions = 3;
   s.dropped_packets = 5;
   s.forwarded_packets = 1;
   s.unknown_robot_packets = 9;
@@ -214,6 +216,8 @@ TEST_F(GoldenLines, FleetStatus) {
   sh.sensor_alarms = 6;
   sh.actuator_alarms = 3;
   sh.quarantine_iterations = 1;
+  sh.masked_steps = 12;
+  sh.forced_evictions = 2;
   sh.dropped_packets = 4;
   sh.forwarded_packets = 8;
   sh.queue_depth = 5;
@@ -250,9 +254,10 @@ TEST_F(GoldenLines, FleetStatus) {
   // hints stays empty: the empty-array bytes.
   EXPECT_EQ(
       fleet::serialize_fleet_status(s),
-      R"({"event":"fleet_status","name":"roboads-fleet-status","version":1,)"
+      R"({"event":"fleet_status","name":"roboads-fleet-status","version":2,)"
       R"("unix_time":1754500000.25,"seq":7,"robots":3,"steps":360,)"
       R"("sensor_alarms":11,"actuator_alarms":4,"quarantine_iterations":2,)"
+      R"("masked_steps":13,"forced_evictions":3,)"
       R"("dropped_packets":5,"forwarded_packets":1,)"
       R"("unknown_robot_packets":9,"trace_sample":2,"spans":120,)"
       R"("ingest_to_step_ns":{"bounds":[1,10,100],"buckets":[0,0,0,5],)"
@@ -260,6 +265,7 @@ TEST_F(GoldenLines, FleetStatus) {
       R"("ingest_to_alarm_ns":{"bounds":[],"buckets":[],"count":0,"sum":0,)"
       R"("sumsq":0,"max":0},"shards":[{"shard":1,"sessions":2,"steps":100,)"
       R"("sensor_alarms":6,"actuator_alarms":3,"quarantine_iterations":1,)"
+      R"("masked_steps":12,"forced_evictions":2,)"
       R"("dropped_packets":4,"forwarded_packets":8,"queue_depth":5,)"
       R"("queue_high_water":40,"reorder_pending":2,"ewma_queue_depth":1.5,)"
       R"("ewma_steps_per_s":null,"ingest_to_step_ns":{"bounds":[1,10,100],)"

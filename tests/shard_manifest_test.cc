@@ -99,6 +99,55 @@ TEST(ShardManifest, RejectsMalformedManifests) {
   EXPECT_THROW(parse_manifest(future), ManifestError);
 }
 
+// Parsing only: a manifest with more shards than jobs is never handed to
+// the supervisor, which sizes its worker slots from `shards`.
+TEST(ShardManifest, RejectsMoreShardsThanJobs) {
+  const std::string good = serialize(mixed_manifest());  // 3 jobs, 3 shards
+  const std::string shards = "\"shards\":3";
+  ASSERT_NE(good.find(shards), std::string::npos);
+  for (const char* too_many : {"\"shards\":4", "\"shards\":1000000000000"}) {
+    std::string text = good;
+    text.replace(text.find(shards), shards.size(), too_many);
+    try {
+      parse_manifest(text);
+      ADD_FAILURE() << "accepted " << too_many << " for 3 jobs";
+    } catch (const ManifestError& e) {
+      EXPECT_NE(std::string(e.what()).find("manifest line 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // An empty campaign still takes one shard, and only one.
+  Manifest empty;
+  EXPECT_EQ(parse_manifest(serialize(empty)).shards, 1u);
+  empty.shards = 2;
+  EXPECT_THROW(parse_manifest(serialize(empty)), ManifestError);
+}
+
+TEST(ShardManifest, BuildersClampShardsToTheJobCount) {
+  const Manifest table2 = table2_manifest({11}, 64, 250);
+  ASSERT_EQ(table2.jobs.size(), 11u);
+  EXPECT_EQ(table2.shards, 11u);
+  for (std::size_t i = 0; i < table2.jobs.size(); ++i) {
+    EXPECT_EQ(table2.jobs[i].shard, i);
+  }
+  EXPECT_EQ(serialize(parse_manifest(serialize(table2))), serialize(table2));
+
+  scenario::FuzzConfig config;
+  config.campaigns = 3;
+  config.platforms = {"khepera"};
+  const Manifest fuzz = fuzz_manifest(config, 8);
+  EXPECT_EQ(fuzz.shards, 3u);
+  for (std::size_t i = 0; i < fuzz.jobs.size(); ++i) {
+    EXPECT_EQ(fuzz.jobs[i].shard, i);
+  }
+  EXPECT_EQ(serialize(parse_manifest(serialize(fuzz))), serialize(fuzz));
+
+  config.campaigns = 0;
+  EXPECT_EQ(parse_manifest(serialize(fuzz_manifest(config, 8))).shards, 1u);
+}
+
 TEST(ShardManifest, Table2BuilderFollowsBenchConvention) {
   const Manifest manifest = table2_manifest({11, 23}, 4, 250);
   ASSERT_EQ(manifest.jobs.size(), 22u);

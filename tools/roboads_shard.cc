@@ -146,7 +146,8 @@ int cmd_gen_table2(const std::vector<std::string>& args) {
   const Manifest manifest = table2_manifest(seeds, shards, iterations);
   write_manifest_file(out, manifest);
   std::printf("wrote %s: %zu jobs (%zu seeds x Table II) over %zu shards\n",
-              out.c_str(), manifest.jobs.size(), seeds.size(), shards);
+              out.c_str(), manifest.jobs.size(), seeds.size(),
+              manifest.shards);
   return 0;
 }
 
@@ -181,7 +182,7 @@ int cmd_gen_fuzz(const std::vector<std::string>& args) {
   const Manifest manifest = fuzz_manifest(config, shards);
   write_manifest_file(out, manifest);
   std::printf("wrote %s: %zu fuzz campaigns over %zu shards\n", out.c_str(),
-              manifest.jobs.size(), shards);
+              manifest.jobs.size(), manifest.shards);
   return 0;
 }
 
