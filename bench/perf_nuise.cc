@@ -5,7 +5,7 @@
 //
 // Benchmarked: a single NUISE step, one full multi-mode engine iteration
 // (M = p estimators + selector), the full detector step (engine + decision
-// maker), and the LiDAR scan-processing pipeline.
+// maker), the LiDAR scan-processing pipeline and the RRT* mission planner.
 #include <benchmark/benchmark.h>
 
 #include "core/roboads.h"
@@ -139,18 +139,35 @@ void BM_LidarScanAndProcess(benchmark::State& state) {
 }
 BENCHMARK(BM_LidarScanAndProcess)->Arg(81)->Arg(241)->Arg(681);
 
+// RRT* with the planner set-up of the mission controllers (eval/khepera.cc,
+// eval/tamiya.cc): arg 0 plans the Khepera mission, arg 1 the Tamiya one.
 void BM_RrtStarPlan(benchmark::State& state) {
-  const sim::World world(2.0, 1.5, {geom::Aabb{{0.85, 0.55}, {1.15, 0.85}}});
+  const bool tamiya = state.range(0) == 1;
+  const sim::World world =
+      tamiya ? sim::World(8.0, 6.0, {geom::Aabb{{3.2, 2.2}, {4.4, 3.4}}})
+             : sim::World(2.0, 1.5, {geom::Aabb{{0.85, 0.55}, {1.15, 0.85}}});
   planning::RrtStarConfig cfg;
-  cfg.max_iterations = static_cast<std::size_t>(state.range(0));
+  if (tamiya) {
+    cfg.step_size = 0.5;
+    cfg.rewire_radius = 1.2;
+    cfg.goal_radius = 0.3;
+    cfg.robot_radius = 0.48;
+  } else {
+    cfg.robot_radius = 0.20;
+  }
+  const geom::Vec2 start = tamiya ? geom::Vec2{1.0, 1.0}
+                                  : geom::Vec2{0.35, 0.3};
+  const geom::Vec2 goal = tamiya ? geom::Vec2{6.8, 4.8}
+                                 : geom::Vec2{1.6, 1.2};
   planning::RrtStar planner(world, cfg);
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
-    benchmark::DoNotOptimize(planner.plan({0.35, 0.3}, {1.6, 1.2}, rng));
+    benchmark::DoNotOptimize(planner.plan(start, goal, rng));
   }
+  state.SetLabel(tamiya ? "tamiya" : "khepera");
 }
-BENCHMARK(BM_RrtStarPlan)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_RrtStarPlan)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace roboads
